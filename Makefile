@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race bench bench-smoke bench-json bench-diff bench-sharded chaos cluster-e2e check experiments examples vet vuln profile
+.PHONY: build test race bench bench-smoke bench-json bench-diff bench-sharded perfbench chaos cluster-e2e check experiments examples vet vuln profile
 
 build:
 	go build ./...
@@ -75,6 +75,14 @@ bench-diff:
 # BENCH_2.json baseline embedded as speedups_vs_baseline.
 bench-sharded:
 	go run ./cmd/benchjson -out BENCH_3.json -baseline BENCH_2.json
+
+# The repository benchmark (perfbench/README.md): every workload end to end
+# over loopback HTTP against real cmd/server processes, one after another,
+# at the run length BENCHMARK.json sets.
+perfbench:
+	@set -e; for w in dashboard gateway-durable cluster-fanout; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0; \
+	done
 
 # Regenerate every paper figure at full scale (~15 minutes).
 experiments:

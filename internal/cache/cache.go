@@ -6,9 +6,18 @@
 // based on the readings of its two most recent devices) and age out after a
 // configurable lifetime, since moving patterns from a distant past add
 // nothing to current inferences.
+//
+// States change hands by ownership, not by copy: Put takes the caller's
+// state, and Get lends the cached one out for the caller to advance in place
+// and Put back. That is safe because the cache is not safe for concurrent
+// use anyway — every caller holds the engine (or shard) lock from Get to
+// Put. Alongside each state the cache keeps the anchor distribution last
+// computed from it, so a query that would not move the state can reuse the
+// distribution instead of snapping every particle again.
 package cache
 
 import (
+	"repro/internal/anchor"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/particle"
@@ -61,6 +70,9 @@ func (c *Cache) countEviction() {
 type entry struct {
 	state  *particle.State
 	device model.ReaderID
+	// dist memoizes state.AnchorDistribution; nil when not known (a plain
+	// Put, or an entry restored from a snapshot).
+	dist map[anchor.ID]float64
 }
 
 // New returns an empty cache with the given entry lifetime. Non-positive
@@ -72,31 +84,50 @@ func New(lifetime model.Time) *Cache {
 	return &Cache{lifetime: lifetime, entries: make(map[model.ObjectID]entry)}
 }
 
-// Put stores (a copy of) the object's particle state together with the
-// device that was its most recent detector when the state was computed.
+// Put takes ownership of the object's particle state and stores it together
+// with the device that was its most recent detector when the state was
+// computed. The caller must not touch st afterwards except through a later
+// Get. Any memoized distribution is dropped.
 func (c *Cache) Put(st *particle.State, device model.ReaderID) {
-	c.entries[st.Object] = entry{state: st.Clone(), device: device}
+	c.PutDistribution(st, device, nil)
 }
 
-// Get returns a copy of the cached state for the object if it is usable: the
+// PutDistribution is Put that also memoizes dist, which must be exactly
+// st.AnchorDistribution for the state as stored. The cache keeps the map and
+// hands it out from GetDistribution; nobody may modify it.
+func (c *Cache) PutDistribution(st *particle.State, device model.ReaderID, dist map[anchor.ID]float64) {
+	c.entries[st.Object] = entry{state: st, device: device, dist: dist}
+}
+
+// Get lends out the cached state for the object if it is usable: the
 // object's current most recent device must equal the cached one (otherwise
 // the entry is stale by the paper's invalidation rule and is dropped), and
-// the entry must be younger than the lifetime. The returned state may be
-// advanced freely by the caller.
+// the entry must be younger than the lifetime. The returned state is the
+// cache's own: the caller may advance it in place, and must then Put it back
+// before anyone else uses the cache (an advanced state left in place would
+// keep a stale memoized distribution).
 func (c *Cache) Get(obj model.ObjectID, currentDevice model.ReaderID, now model.Time) (*particle.State, bool) {
+	st, _, ok := c.GetDistribution(obj, currentDevice, now)
+	return st, ok
+}
+
+// GetDistribution is Get that also returns the memoized anchor distribution
+// of the lent state (nil when none is known). The map is shared with the
+// cache and must not be modified.
+func (c *Cache) GetDistribution(obj model.ObjectID, currentDevice model.ReaderID, now model.Time) (*particle.State, map[anchor.ID]float64, bool) {
 	e, ok := c.entries[obj]
 	if !ok {
 		c.countMiss()
-		return nil, false
+		return nil, nil, false
 	}
 	if e.device != currentDevice || now-e.state.Time > c.lifetime {
 		delete(c.entries, obj)
 		c.countEviction()
 		c.countMiss()
-		return nil, false
+		return nil, nil, false
 	}
 	c.countHit()
-	return e.state.Clone(), true
+	return e.state, e.dist, true
 }
 
 // Invalidate removes the object's entry if its most recent device changed.

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 
+	"repro/internal/anchor"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/particle"
@@ -73,26 +74,65 @@ func TestGetMissOnExpiry(t *testing.T) {
 	}
 }
 
-func TestGetReturnsIndependentCopy(t *testing.T) {
+// TestGetLendsCachedState pins the ownership handoff on the way out: Get
+// returns the cache's own state, not a copy, so the caller advances it in
+// place and puts it back; the memoized distribution travels with it until a
+// plain Put drops it.
+func TestGetLendsCachedState(t *testing.T) {
 	c := New(60)
-	c.Put(state(1, 100), 5)
-	got, _ := c.Get(1, 5, 100)
+	st := state(1, 100)
+	dist := map[anchor.ID]float64{3: 1}
+	c.PutDistribution(st, 5, dist)
+	got, memo, ok := c.GetDistribution(1, 5, 100)
+	if !ok || got != st {
+		t.Fatalf("Get returned %p (ok=%v), want the stored state %p", got, ok, st)
+	}
+	if memo[3] != 1 || len(memo) != 1 {
+		t.Errorf("memoized distribution = %v, want %v", memo, dist)
+	}
 	got.Particles[0].Speed = 99
-	got.Time = 999
-	again, _ := c.Get(1, 5, 100)
-	if again.Particles[0].Speed != 1 || again.Time != 100 {
-		t.Error("cached state aliased by Get")
+	got.Time = 130
+	c.Put(got, 5)
+	again, memo, _ := c.GetDistribution(1, 5, 130)
+	if again != st || again.Particles[0].Speed != 99 || again.Time != 130 {
+		t.Error("advanced state not what the next Get lends out")
+	}
+	if memo != nil {
+		t.Errorf("plain Put kept the memoized distribution %v", memo)
+	}
+	if plain, ok := c.Get(1, 5, 130); !ok || plain != st {
+		t.Error("Get and GetDistribution lend different states")
 	}
 }
 
-func TestPutStoresCopy(t *testing.T) {
+// TestPutTakesOwnership pins the handoff on the way in: Put keeps the
+// caller's state itself, while Dump and RestoreEntries still copy, so a
+// snapshot never aliases a live state and a restored entry carries no memo.
+func TestPutTakesOwnership(t *testing.T) {
 	c := New(60)
 	st := state(1, 100)
-	c.Put(st, 5)
+	c.PutDistribution(st, 5, map[anchor.ID]float64{3: 1})
 	st.Particles[0].Speed = 77
 	got, _ := c.Get(1, 5, 100)
-	if got.Particles[0].Speed != 1 {
-		t.Error("cached state aliased by Put")
+	if got.Particles[0].Speed != 77 {
+		t.Error("Put stored a copy instead of the state itself")
+	}
+	dump := c.Dump()
+	st.Particles[0].Speed = 88
+	if dump[0].State.Particles[0].Speed != 77 {
+		t.Error("Dump aliases the live state")
+	}
+	c.RestoreEntries(dump)
+	restored, memo, ok := c.GetDistribution(1, 5, 100)
+	if !ok || restored == st || restored.Particles[0].Speed != 77 {
+		t.Error("RestoreEntries did not install a copy of the dumped state")
+	}
+	if memo != nil {
+		t.Errorf("restored entry carries a memoized distribution %v", memo)
+	}
+	dump[0].State.Particles[0].Speed = 66
+	if restored.Particles[0].Speed != 77 {
+		t.Error("restored entry aliases the dump")
 	}
 }
 

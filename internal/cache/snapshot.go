@@ -15,7 +15,10 @@ type Entry struct {
 }
 
 // Dump returns every live entry sorted by object ID, with deep-copied
-// particle states, for inclusion in an engine snapshot. The states'
+// particle states, for inclusion in an engine snapshot. The copies matter:
+// the live states are advanced in place by later queries (the cache hands
+// them out by ownership), and a snapshot must not change under its encoder.
+// Memoized distributions are not dumped; they are derived data. The states'
 // LastRun stage timings are zeroed: they are wall-clock diagnostics, and
 // leaving them in would make the snapshot encoding of one logical state
 // differ run to run (the engine's parallel-determinism tests compare
@@ -31,8 +34,10 @@ func (c *Cache) Dump() []Entry {
 	return out
 }
 
-// RestoreEntries replaces the cache contents with the dumped entries. Hit and
-// miss counters are untouched; use RestoreStats for those.
+// RestoreEntries replaces the cache contents with copies of the dumped
+// entries, without memoized distributions: the first query after a restore
+// recomputes each one. Hit and miss counters are untouched; use RestoreStats
+// for those.
 func (c *Cache) RestoreEntries(entries []Entry) {
 	c.entries = make(map[model.ObjectID]entry, len(entries))
 	for _, e := range entries {

@@ -52,8 +52,10 @@ type DurabilityConfig struct {
 	// (internal/sim/errfs).
 	FS wal.FS
 	// HealBaseDelay and HealMaxDelay pace the sharded engine's background
-	// self-heal loop: attempts to re-open a quarantined shard back off
-	// exponentially between them. 0 means 500ms and 15s.
+	// self-heal loop: the first attempt to re-open a quarantined shard
+	// comes HealBaseDelay after the quarantine (or the restart that found
+	// its marker), and later attempts back off exponentially up to
+	// HealMaxDelay. Sharded.HealNow heals at once. 0 means 500ms and 15s.
 	HealBaseDelay time.Duration
 	HealMaxDelay  time.Duration
 }

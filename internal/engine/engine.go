@@ -510,6 +510,14 @@ func (s *System) PreprocessContext(ctx context.Context, candidates []model.Objec
 
 // preprocessCtx is the shared implementation; a nil ctx skips every check
 // and is exactly the pre-deadline behavior.
+//
+// The cache lends its states out (see package cache): a cache hit is
+// advanced in place and put back, never copied. The caller's lock (the
+// System's exclusion, or the shard lock under Sharded) covers the whole
+// call, and duplicate candidates are collapsed, so no state is ever
+// advanced by two workers at once. A hit whose advance would be a no-op
+// (particle.Filter.Settled) reuses the entry's memoized distribution and
+// runs neither the kernel nor the anchor snap.
 func (s *System) preprocessCtx(ctx context.Context, candidates []model.ObjectID) (*anchor.Table, error) {
 	tab := anchor.NewTable()
 	now := s.col.Now()
@@ -522,14 +530,20 @@ func (s *System) preprocessCtx(ctx context.Context, candidates []model.ObjectID)
 		entries []model.AggregatedReading
 		dj      model.ReaderID
 		cached  *particle.State
-		st      *particle.State
-		dist    map[anchor.ID]float64
-		snap    time.Duration
+		// memo is the cached state's distribution when the advance would not
+		// change the state; the worker then takes it as dist unchanged.
+		memo map[anchor.ID]float64
+		st   *particle.State
+		dist map[anchor.ID]float64
+		snap time.Duration
 	}
 	// Phase 1 (serial): gather readings and consult the cache — collector
 	// and cache are not safe for concurrent use.
 	tasks := make([]task, 0, len(sorted))
-	for _, obj := range sorted {
+	for i, obj := range sorted {
+		if i > 0 && obj == sorted[i-1] {
+			continue
+		}
 		entries := s.col.Aggregated(obj)
 		if len(entries) == 0 {
 			continue
@@ -537,8 +551,11 @@ func (s *System) preprocessCtx(ctx context.Context, candidates []model.ObjectID)
 		_, dj := s.col.RecentDevices(obj)
 		t := task{obj: obj, entries: entries, dj: dj}
 		if s.cfg.UseCache {
-			if cached, ok := s.cache.Get(obj, dj, now); ok {
+			if cached, memo, ok := s.cache.GetDistribution(obj, dj, now); ok {
 				t.cached = cached
+				if memo != nil && s.filter.Settled(cached, entries, now) {
+					t.memo = memo
+				}
 			}
 		}
 		tasks = append(tasks, t)
@@ -591,6 +608,10 @@ func (s *System) preprocessCtx(ctx context.Context, candidates []model.ObjectID)
 					return
 				}
 				t := &tasks[i]
+				if t.memo != nil {
+					t.st, t.dist = t.cached, t.memo
+					continue
+				}
 				var callStart time.Time
 				if tr != nil {
 					callStart = time.Now()
@@ -637,9 +658,17 @@ func (s *System) preprocessCtx(ctx context.Context, candidates []model.ObjectID)
 			s.stats.FiltersRun++
 			s.tel.runsFull.Inc()
 		}
-		s.tel.recordTrace(s.shardID, t.st, t.snap, t.cached != nil)
-		if s.cfg.UseCache {
-			s.cache.Put(t.st, t.dj)
+		if t.memo != nil {
+			// A reuse is still a resumed cache hit, but no filter ran: the
+			// trace records zero work, not the state's stale LastRun, and
+			// the entry stays cached as it was.
+			s.tel.runsReused.Inc()
+			s.tel.recordReuse(s.shardID, t.st)
+		} else {
+			s.tel.recordTrace(s.shardID, t.st, t.snap, t.cached != nil)
+			if s.cfg.UseCache {
+				s.cache.PutDistribution(t.st, t.dj, t.dist)
+			}
 		}
 		tab.SetDistribution(t.obj, t.dist)
 	}

@@ -555,8 +555,9 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	// barrier; replay rebuilt everything above it), and schedule healing.
 	for i, qi := range markers {
 		q := &quarInfo{
-			seq:   qeff[i],
-			cause: fmt.Errorf("engine: recovered quarantine marker (seq %d)", qi),
+			seq:     qeff[i],
+			cause:   fmt.Errorf("engine: recovered quarantine marker (seq %d)", qi),
+			nextTry: time.Now().Add(d.healBaseDelay()),
 		}
 		if c, ok := qcause[i]; ok {
 			q.cause = c

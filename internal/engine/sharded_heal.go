@@ -179,7 +179,9 @@ func (e *Sharded) quarantineShard(i int, cause error) {
 		l.Close()
 		e.wals[i] = nil
 	}
-	e.quar[i] = &quarInfo{seq: seq, cause: cause}
+	// The first attempt waits HealBaseDelay like every later one; HealNow
+	// heals at once.
+	e.quar[i] = &quarInfo{seq: seq, cause: cause, nextTry: time.Now().Add(e.cfg.Durability.healBaseDelay())}
 	e.shards[i].shardTel.quarantined.Set(1)
 	e.tel.shardQuarantines.Inc()
 	if err := writeQuarMarker(e.cfg.Durability.fsys(), e.cfg.Durability.Dir, i, seq); err != nil {

@@ -33,7 +33,7 @@ type Telemetry struct {
 	// Inline-recorded metrics.
 	stagePredict, stageReweight, stageResample, stageSnap *obs.Histogram
 	particleSteps                                         *obs.Counter
-	runsFull, runsResumed                                 *obs.Counter
+	runsFull, runsResumed, runsReused                     *obs.Counter
 	queryRange, queryKNN                                  *obs.Histogram
 	slowQueries                                           *obs.Counter
 	cacheHits, cacheMisses, cacheEvictions                *obs.Counter
@@ -173,8 +173,10 @@ func newTelemetry(cfg Config) *Telemetry {
 			"Particle × second motion steps executed by the filter."),
 		runsFull:    runs.With("full"),
 		runsResumed: runs.With("resumed"),
-		queryRange:  queries.With("range"),
-		queryKNN:    queries.With("knn"),
+		runsReused: r.Counter("repro_filter_reused_total",
+			"Cache-resumed filter executions answered from the memoized anchor distribution: no stage ran (a subset of repro_filter_runs_total{mode=\"resumed\"})."),
+		queryRange: queries.With("range"),
+		queryKNN:   queries.With("knn"),
 		slowQueries: r.Counter("repro_slow_queries_total",
 			"Queries slower than the configured slow-query threshold."),
 		cacheHits:      cacheEvents.With("hit"),
@@ -335,6 +337,23 @@ func (t *Telemetry) recordTrace(shard int, st *particle.State, snap time.Duratio
 		ReweightMicros: rs.Reweight.Microseconds(),
 		ResampleMicros: rs.Resample.Microseconds(),
 		SnapMicros:     snap.Microseconds(),
+	})
+}
+
+// recordReuse appends a reused distribution to the trace ring: a zero-work
+// entry at the state's time. The state's LastRun describes the earlier call
+// that produced the distribution, so only its ESS, which describes the
+// unchanged particle set, carries over.
+func (t *Telemetry) recordReuse(shard int, st *particle.State) {
+	t.Trace.Add(obs.FilterTrace{
+		Object:    int64(st.Object),
+		Shard:     shard,
+		SimFrom:   int64(st.Time),
+		SimTo:     int64(st.Time),
+		Particles: len(st.Particles),
+		ESS:       st.LastRun.ESS,
+		Resumed:   true,
+		Reused:    true,
 	})
 }
 

@@ -86,6 +86,10 @@ type FilterTrace struct {
 	// Resumed marks a cache hit that advanced an existing state rather than
 	// a full run from the first reading.
 	Resumed bool `json:"resumed"`
+	// Reused marks a cache hit whose state needed no advance: its memoized
+	// anchor distribution was reused, so no stage ran and every timing and
+	// step count is zero. Reused entries are also Resumed.
+	Reused bool `json:"reused,omitempty"`
 	// Per-stage wall time in microseconds. Reweight includes the silent-
 	// second negative update; Snap is the anchor-point discretization.
 	PredictMicros  int64 `json:"predictMicros"`

@@ -276,6 +276,25 @@ func (f *Filter) Advance(src *rng.Source, st *State, entries []model.AggregatedR
 	f.advance(src, st, entries, now, true)
 }
 
+// Settled reports whether Advance(st, entries, now) — and AdvancePool on
+// either kernel — would leave st's particles, Time and LastReadingTime
+// exactly as they are: no detected entry is newer than st.Time, so td stays
+// st.LastReadingTime, and the step loop's bound min(td + MaxCoastSeconds,
+// now) does not pass st.Time, so it runs zero iterations. The state's
+// anchor distribution is then still current.
+func (f *Filter) Settled(st *State, entries []model.AggregatedReading, now model.Time) bool {
+	for _, e := range entries {
+		if e.Time > st.Time && e.Detected() {
+			return false
+		}
+	}
+	tmin := st.LastReadingTime + model.Time(f.cfg.MaxCoastSeconds)
+	if now < tmin {
+		tmin = now
+	}
+	return tmin <= st.Time
+}
+
 // advance steps st second by second to min(td + coast, now), where td is the
 // newest reading time, reweighting and resampling at every detected second.
 // With skipStale set, entries at or before st.Time are ignored (the Advance

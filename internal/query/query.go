@@ -306,9 +306,7 @@ func (p *Pruner) knnCandidatesCtx(ctx context.Context, infos []ObjectInfo, q geo
 	if len(infos) == 0 {
 		return nil, nil
 	}
-	loc := p.g.NearestLocation(q)
-	nodeDist := p.g.DistancesFromLocation(loc)
-
+	b := p.newKNNBounder(q, now)
 	type bounds struct {
 		obj    model.ObjectID
 		si, li float64
@@ -323,29 +321,7 @@ func (p *Pruner) knnCandidatesCtx(ctx context.Context, infos []ObjectInfo, q geo
 			}
 			return out, err
 		}
-		ur := p.UncertainRegion(info, now)
-		si, li := math.Inf(1), 0.0
-		for _, a := range p.idx.Anchors() {
-			if !ur.Contains(a.Pos) {
-				continue
-			}
-			d := p.g.DistToLocation(loc, nodeDist, a.Loc)
-			if d < si {
-				si = d
-			}
-			if d > li {
-				li = d
-			}
-		}
-		if math.IsInf(si, 1) {
-			// The region is too small to contain an anchor; bound through
-			// the device center instead.
-			reader := p.dep.Reader(info.Reader)
-			center := p.g.NearestLocation(reader.Pos)
-			d := p.g.DistToLocation(loc, nodeDist, center)
-			si = math.Max(0, d-ur.R)
-			li = d + ur.R
-		}
+		si, li := b.bounds(info)
 		bs = append(bs, bounds{obj: info.Object, si: si, li: li})
 		ls = append(ls, li)
 	}
@@ -362,6 +338,82 @@ func (p *Pruner) knnCandidatesCtx(ctx context.Context, infos []ObjectInfo, q geo
 		}
 	}
 	return out, nil
+}
+
+// knnBounder computes the [s_i, l_i] network-distance bounds of one kNN
+// query's uncertain regions, sharing work across objects. Each anchor's
+// distance from the query point is computed at most once per query. The
+// bounds themselves are memoized per region key: UR(o) depends only on the
+// last detecting reader, the last-seen time and that reader's health, and
+// within one query the time and the unhealthy set are fixed, so objects with
+// equal (reader, last-seen) have the same region and the same bounds.
+type knnBounder struct {
+	p        *Pruner
+	now      model.Time
+	loc      walkgraph.Location
+	nodeDist []float64
+	// anchorDist[i] is anchor i's network distance from loc; NaN until
+	// first needed.
+	anchorDist []float64
+	regions    map[regionKey][2]float64
+}
+
+type regionKey struct {
+	reader   model.ReaderID
+	lastSeen model.Time
+}
+
+func (p *Pruner) newKNNBounder(q geom.Point, now model.Time) *knnBounder {
+	loc := p.g.NearestLocation(q)
+	ad := make([]float64, len(p.idx.Anchors()))
+	for i := range ad {
+		ad[i] = math.NaN()
+	}
+	return &knnBounder{
+		p: p, now: now, loc: loc,
+		nodeDist:   p.g.DistancesFromLocation(loc),
+		anchorDist: ad,
+		regions:    make(map[regionKey][2]float64),
+	}
+}
+
+// bounds returns s_i and l_i, the minimum and maximum network distance from
+// the query point to the anchors inside UR(info).
+func (b *knnBounder) bounds(info ObjectInfo) (si, li float64) {
+	key := regionKey{reader: info.Reader, lastSeen: info.LastSeen}
+	if r, ok := b.regions[key]; ok {
+		return r[0], r[1]
+	}
+	p := b.p
+	ur := p.UncertainRegion(info, b.now)
+	si, li = math.Inf(1), 0.0
+	for i, a := range p.idx.Anchors() {
+		if !ur.Contains(a.Pos) {
+			continue
+		}
+		d := b.anchorDist[i]
+		if math.IsNaN(d) {
+			d = p.g.DistToLocation(b.loc, b.nodeDist, a.Loc)
+			b.anchorDist[i] = d
+		}
+		if d < si {
+			si = d
+		}
+		if d > li {
+			li = d
+		}
+	}
+	if math.IsInf(si, 1) {
+		// The region is too small to contain an anchor; bound through
+		// the device center instead.
+		reader := p.dep.Reader(info.Reader)
+		center := p.g.NearestLocation(reader.Pos)
+		d := p.g.DistToLocation(b.loc, b.nodeDist, center)
+		si = math.Max(0, d-ur.R)
+		li = d + ur.R
+	}
+	b.regions[key] = [2]float64{si, li}
+	return si, li
 }
 
 // RoomOf exposes the plan lookup used by ground-truth helpers: the room
