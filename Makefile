@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race bench bench-smoke bench-json bench-diff bench-sharded perfbench chaos cluster-e2e check experiments examples vet vuln profile
+.PHONY: build test race bench bench-smoke bench-json bench-diff bench-sharded perfbench chaos cluster-e2e check experiments examples vet vuln profile size
 
 build:
 	go build ./...
@@ -32,6 +32,18 @@ check:
 	$(MAKE) vuln
 	go test -race ./...
 	$(MAKE) bench-smoke
+
+# The three size figures ROADMAP.md tracks: non-test Go lines outside
+# perfbench/ (and outside hidden build directories), the method count of
+# the server's Engine interface, and how many types implement a WAL append
+# (durability implementations). Informational; it gates nothing.
+size:
+	@printf 'non-test Go lines (excluding perfbench/): '
+	@find . -path './.*' -prune -o -path ./perfbench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
+	@printf 'server.Engine methods: '
+	@awk '/^type Engine interface \{/{f=1; next} f && /^\}/{f=0} f && /^\t[A-Z][A-Za-z0-9]*\(/{n++} END{print n}' internal/server/server.go
+	@printf 'durability implementations (types with appendWAL): '
+	@grep -rhoE --include='*.go' '^func \([a-z]+ \*?[A-Za-z]+\) appendWAL\(' . | sort -u | wc -l
 
 # Chaos scenarios in short mode: crash-at-random-points, per-shard
 # disk-fault schedules (quarantine + heal), and two-node peer faults

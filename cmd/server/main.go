@@ -8,13 +8,20 @@
 //	server -addr :9000 -plan my-building.json -readers 24 -range 1.5
 //	server -demo                  # also run a built-in simulator feeding readings
 //	server -data-dir ./data       # durable: WAL + snapshots, recover on restart
+//	server -shards 4              # partition objects across 4 locked shards
 //	server -addr :8080 -node-id 10.0.0.1:8080 \
 //	       -peers 10.0.0.1:8080,10.0.0.2:8080   # one node of a static cluster
 //
+// The server always runs the engine router (engine.Open) with -shards
+// shards, one by default; answers are bit-for-bit identical at any count.
+//
 // With -data-dir set the server opens (or creates) a write-ahead log and
-// snapshot store there, recovers any prior state on startup, and on SIGINT or
-// SIGTERM drains in-flight requests, flushes the reorder buffer, and writes a
-// final snapshot before exiting.
+// snapshot store there — a SHARDS guard file plus one shard-NNNN/ directory
+// per shard — recovers any prior state on startup, and on SIGINT or SIGTERM
+// drains in-flight requests, flushes the reorder buffer, and writes a final
+// snapshot before exiting. A directory written with a different -shards
+// count, or in the flat single-engine layout of earlier releases (segments
+// and snapshots directly in the root), is refused at startup.
 //
 // With -peers set the node joins a static cluster: every node is given the
 // same member list, owns the objects the shared jump hash assigns it, and
@@ -63,7 +70,7 @@ func run() error {
 		seed     = flag.Int64("seed", 1, "random seed")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		slowQ    = flag.Duration("slow-query", 100*time.Millisecond, "slow-query log threshold (0 disables the log)")
-		shards   = flag.Int("shards", 1, "engine shards; >1 partitions objects across independently locked shards")
+		shards   = flag.Int("shards", 1, "engine shards: objects are partitioned across this many independently locked shards, each with its own WAL under -data-dir (a data dir only reopens with the count it was written with)")
 		traceSmp = flag.Float64("trace-sample", 0.01, "probability an unremarkable request trace is kept at /debug/traces (slow/shed/deadline/errored traces are always kept; negative disables tracing)")
 
 		healthOn    = flag.Bool("reader-health", true, "infer per-reader liveness and compensate the sensing model for SUSPECT/DEAD readers")
@@ -118,19 +125,12 @@ func run() error {
 			SnapshotEvery: *snapEvery,
 		}
 	}
-	var sys server.Engine
-	var eng cluster.Local
-	if *shards > 1 {
-		cfg.Shards = *shards
-		sh, serr := engine.OpenSharded(plan, dep, cfg)
-		sys, eng, err = sh, sh, serr
-	} else {
-		sg, serr := engine.Open(plan, dep, cfg)
-		sys, eng, err = sg, sg, serr
-	}
+	cfg.Shards = *shards
+	eng, err := engine.Open(plan, dep, cfg)
 	if err != nil {
 		return err
 	}
+	var sys server.Engine = eng
 	if *peersFlag != "" {
 		var members []string
 		for _, p := range strings.Split(*peersFlag, ",") {

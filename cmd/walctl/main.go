@@ -3,11 +3,13 @@
 // works at the framing layer the wal package defines, decoding batch payloads
 // opportunistically for display.
 //
-// Both layouts are understood: a single engine's flat directory, and a
-// sharded engine's root (detected by its SHARDS guard file), which holds
+// Both layouts are understood: the engine's root (detected by its SHARDS
+// guard file), which holds
 // router snapshots, optional quarantine markers, and one shard-NNNN/
-// subdirectory per shard. inspect and verify walk every shard of a sharded
-// root; truncate and dump operate on one log, so point them at a shard
+// subdirectory per shard, and the flat directory earlier releases' single
+// engine wrote (segments and snapshots in the root), which the engine now
+// refuses to open. inspect and verify walk every shard of a sharded root;
+// truncate and dump operate on one log, so point them at a shard
 // subdirectory.
 //
 // Usage:
@@ -91,8 +93,9 @@ commands:
 `)
 }
 
-// shardCount reads the SHARDS guard file a sharded engine pins its data
-// directory with. 0 means a flat (single-engine) directory.
+// shardCount reads the SHARDS guard file the engine pins its data
+// directory with. 0 means a flat directory (one log, or the single-engine
+// layout of earlier releases).
 func shardCount(dir string) int {
 	data, err := os.ReadFile(filepath.Join(dir, "SHARDS"))
 	if err != nil {

@@ -36,9 +36,9 @@ func buildShardedDir(t *testing.T) string {
 		HealBaseDelay: time.Hour,
 		HealMaxDelay:  time.Hour,
 	}
-	sys, err := engine.OpenSharded(plan, dep, cfg)
+	sys, err := engine.Open(plan, dep, cfg)
 	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	tc := sim.DefaultTraceConfig()
 	tc.NumObjects = 12

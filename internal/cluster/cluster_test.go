@@ -19,10 +19,10 @@ import (
 	"repro/internal/sim/netsim"
 )
 
-// twoNodes builds a two-node netsim cluster over memory-only single-shard
+// twoNodes builds a two-node netsim cluster over memory-only one-shard
 // engines, with probes disabled so breaker transitions happen only at the
 // test's own boundaries.
-func twoNodes(t *testing.T, seed int64, tweak func(*cluster.Config)) (*netsim.Network, *cluster.Node, *cluster.Node, *engine.System, *engine.System) {
+func twoNodes(t *testing.T, seed int64, tweak func(*cluster.Config)) (*netsim.Network, *cluster.Node, *cluster.Node, *engine.Sharded, *engine.Sharded) {
 	t.Helper()
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
@@ -34,8 +34,8 @@ func twoNodes(t *testing.T, seed int64, tweak func(*cluster.Config)) (*netsim.Ne
 	cfg.Health = health.Config{}
 
 	net := netsim.New(seed)
-	mk := func(self string) (*cluster.Node, *engine.System) {
-		eng, err := engine.New(plan, dep, cfg)
+	mk := func(self string) (*cluster.Node, *engine.Sharded) {
+		eng, err := engine.NewSharded(plan, dep, cfg)
 		if err != nil {
 			t.Fatalf("engine: %v", err)
 		}
@@ -91,7 +91,7 @@ func TestForwardingRoutesToOwner(t *testing.T) {
 	_, n0, n1, e0, e1 := twoNodes(t, 5, nil)
 	objs := objectsOwnedBy(1, 5)
 	for sec := model.Time(1); sec <= 3; sec++ {
-		if err := n0.Ingest(sec, readingsFor(objs, sec)); err != nil {
+		if err := n0.IngestContext(context.Background(), sec, readingsFor(objs, sec)); err != nil {
 			t.Fatalf("ingest t=%d: %v", sec, err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestIdempotentForwardRetry(t *testing.T) {
 	})
 	objs := objectsOwnedBy(1, 4)
 	net.Install(netsim.Rule{From: "node-0", To: "node-1", DropReply: true, Times: 1})
-	if err := n0.Ingest(1, readingsFor(objs, 1)); err != nil {
+	if err := n0.IngestContext(context.Background(), 1, readingsFor(objs, 1)); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
 	if got, want := e1.Stats().ReadingsIngested, len(objs); got != want {
@@ -140,7 +140,7 @@ func TestDuplicateDeliveryDeduped(t *testing.T) {
 	net, n0, _, _, e1 := twoNodes(t, 9, nil)
 	objs := objectsOwnedBy(1, 4)
 	net.Install(netsim.Rule{From: "node-0", To: "node-1", Duplicate: true, Times: 1})
-	if err := n0.Ingest(1, readingsFor(objs, 1)); err != nil {
+	if err := n0.IngestContext(context.Background(), 1, readingsFor(objs, 1)); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
 	if got, want := e1.Stats().ReadingsIngested, len(objs); got != want {
@@ -158,7 +158,7 @@ func TestUnreachableOwnerDegrades(t *testing.T) {
 	kill := net.Kill("node-1")
 	var sec model.Time
 	for sec = 1; sec <= 4; sec++ {
-		err := n0.Ingest(sec, readingsFor(objs, sec))
+		err := n0.IngestContext(context.Background(), sec, readingsFor(objs, sec))
 		var ie *ingest.Error
 		if !errors.As(err, &ie) || ie.Kind != ingest.KindUnreachable {
 			t.Fatalf("ingest t=%d: want typed unreachable error, got %v", sec, err)
@@ -187,7 +187,7 @@ func TestUnreachableOwnerDegrades(t *testing.T) {
 	if healed := n0.ProbePeers(context.Background()); len(healed) != 1 {
 		t.Fatalf("ProbePeers healed %v, want [node-1]", healed)
 	}
-	if err := n0.Ingest(sec, readingsFor(objs, sec)); err != nil {
+	if err := n0.IngestContext(context.Background(), sec, readingsFor(objs, sec)); err != nil {
 		t.Fatalf("post-heal ingest: %v", err)
 	}
 	if got, want := e1.Now(), n0.Now(); got != want {
@@ -225,7 +225,7 @@ func TestShedRelaysOwnersEstimate(t *testing.T) {
 	})
 	_ = net
 	objs := append(objectsOwnedBy(0, 3), objectsOwnedBy(1, 3)...)
-	if err := n0.Ingest(1, readingsFor(objs, 1)); err != nil {
+	if err := n0.IngestContext(context.Background(), 1, readingsFor(objs, 1)); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
 	_, qerr := n0.RangeQueryContext(context.Background(), floorplan.DefaultOffice().Bounds())
@@ -310,7 +310,7 @@ func TestOwnershipStability(t *testing.T) {
 	cfg := engine.DefaultConfig()
 	cfg.Particle.Ns = 8
 	mkNode := func(self string, peers []string) *cluster.Node {
-		eng, err := engine.New(plan, dep, cfg)
+		eng, err := engine.NewSharded(plan, dep, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,17 +12,12 @@ import (
 	"repro/internal/shardmap"
 )
 
-// Ingest accepts one gateway delivery on any node: the readings are
+// IngestContext accepts one gateway delivery on any node: the readings are
 // partitioned by owner, each remote owner's sub-batch is forwarded (with
-// retries, breaker, and idempotent application), and the local partition is
-// applied to the local engine. Readings owed to an unreachable owner become
-// a typed ingest.KindUnreachable drop counted in Stats; the missed second
-// is queued for heal-time catch-up.
-func (n *Node) Ingest(t model.Time, raws []model.RawReading) error {
-	return n.IngestContext(context.Background(), t, raws)
-}
-
-// IngestContext is Ingest with a caller context bounding the forwards.
+// retries, breaker, and idempotent application, bounded by ctx), and the
+// local partition is applied to the local engine. Readings owed to an
+// unreachable owner become a typed ingest.KindUnreachable drop counted in
+// Stats; the missed second is queued for heal-time catch-up.
 func (n *Node) IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error {
 	parts := n.partition(raws)
 	fdrops := 0
@@ -34,9 +29,7 @@ func (n *Node) IngestContext(ctx context.Context, t model.Time, raws []model.Raw
 			fdrops += len(parts[i])
 		}
 	}
-	n.lock()
 	lerr := n.eng.IngestContext(ctx, t, parts[n.selfIdx])
-	n.unlock()
 	return n.mergeIngestErr(t, lerr, fdrops)
 }
 
@@ -45,9 +38,7 @@ func (n *Node) IngestContext(ctx context.Context, t model.Time, raws []model.Raw
 func (n *Node) FlushIngest() {
 	type flusher interface{ FlushIngest() }
 	if f, ok := n.eng.(flusher); ok {
-		n.lock()
 		f.FlushIngest()
-		n.unlock()
 	}
 }
 
@@ -139,9 +130,7 @@ func (n *Node) dropForward(p *peer, t model.Time, raws []model.RawReading) {
 	p.mu.Lock()
 	p.droppedReadings += int64(len(raws))
 	p.mu.Unlock()
-	n.lock()
 	n.eng.NoteTransportDrops(len(raws))
-	n.unlock()
 }
 
 // mergeIngestErr combines the local engine's ingest report with the

@@ -34,13 +34,11 @@ type gatherResult struct {
 // reachable peer. Unreachable peers are skipped and reported as degraded.
 func (n *Node) gather(ctx context.Context, at model.Time, historical bool) ([]query.ObjectInfo, []string) {
 	per := make([][]query.ObjectInfo, len(n.members))
-	n.lock()
 	if historical {
 		per[n.selfIdx] = n.eng.ObjectInfosAt(at)
 	} else {
 		per[n.selfIdx] = n.eng.ObjectInfos()
 	}
-	n.unlock()
 
 	results := make([]gatherResult, len(n.members))
 	var wg sync.WaitGroup
@@ -162,13 +160,9 @@ func (n *Node) scatter(ctx context.Context, cands []model.ObjectID, at model.Tim
 	var localTab *anchor.Table
 	var localErr error
 	if historical {
-		n.lock()
 		localTab = n.eng.PreprocessAt(parts[n.selfIdx], at)
-		n.unlock()
 	} else {
-		n.lock()
 		localTab, localErr = n.eng.PreprocessContext(ctx, parts[n.selfIdx])
-		n.unlock()
 	}
 	wg.Wait()
 
@@ -236,18 +230,15 @@ func (n *Node) joinDegraded(deadlineErr error, peerSets ...[]string) error {
 	}
 }
 
-// prune runs the coordinator-global pruning stage (pass-through inside the
-// engine when pruning is disabled). The engine wrapper, not a raw Pruner
-// handle, so the unhealthy-reader set stays fenced by the engine's own lock.
+// pruneRange and pruneKNN run the coordinator-global pruning stage
+// (pass-through inside the engine when pruning is disabled). They go
+// through the engine, not a raw Pruner handle, so the unhealthy-reader set
+// stays fenced by the engine's own lock.
 func (n *Node) pruneRange(ctx context.Context, infos []query.ObjectInfo, window geom.Rect, now model.Time) ([]model.ObjectID, error) {
-	n.lock()
-	defer n.unlock()
 	return n.eng.PruneRangeContext(ctx, infos, []geom.Rect{window}, now)
 }
 
 func (n *Node) pruneKNN(ctx context.Context, infos []query.ObjectInfo, q geom.Point, k int, now model.Time) ([]model.ObjectID, error) {
-	n.lock()
-	defer n.unlock()
 	return n.eng.PruneKNNContext(ctx, infos, q, k, now)
 }
 
@@ -290,19 +281,6 @@ func (n *Node) KNNQueryContext(ctx context.Context, q geom.Point, k int) (model.
 	return rs, n.joinDegraded(firstNonNil(perr, dlerr, eerr), degG, degS)
 }
 
-// RangeQuery is RangeQueryContext without a deadline; partial markers are
-// dropped (legacy surface, used by harness diffs over healthy clusters).
-func (n *Node) RangeQuery(window geom.Rect) model.ResultSet {
-	rs, _ := n.RangeQueryContext(context.Background(), window)
-	return rs
-}
-
-// KNNQuery is KNNQueryContext without a deadline.
-func (n *Node) KNNQuery(q geom.Point, k int) model.ResultSet {
-	rs, _ := n.KNNQueryContext(context.Background(), q, k)
-	return rs
-}
-
 // RangeQueryAt answers a historical range query. Unlike snapshot queries,
 // historical runs draw from each node's own serial random source, so
 // cluster answers are self-consistent but not pinned bit-for-bit to a
@@ -324,14 +302,8 @@ func (n *Node) KNNQueryAt(q geom.Point, k int, t model.Time) model.ResultSet {
 	return n.eng.Evaluator().KNN(tab, q, k)
 }
 
-// Occupancy aggregates per-room expected counts over the whole cluster.
-func (n *Node) Occupancy() []engine.RoomOdds {
-	odds, _ := n.OccupancyContext(context.Background())
-	return odds
-}
-
-// OccupancyContext is Occupancy under a caller deadline and the cluster
-// degradation contract.
+// OccupancyContext aggregates per-room expected counts over the whole
+// cluster, under a caller deadline and the cluster degradation contract.
 func (n *Node) OccupancyContext(ctx context.Context) ([]engine.RoomOdds, error) {
 	infos, degG := n.gather(ctx, 0, false)
 	tab, degS, dlerr, shed := n.scatter(ctx, infosToIDs(infos), 0, false)
@@ -346,8 +318,6 @@ func (n *Node) OccupancyContext(ctx context.Context) ([]engine.RoomOdds, error) 
 func (n *Node) Localize(obj model.ObjectID) (engine.Localization, bool) {
 	i := n.OwnerIdx(obj)
 	if i == n.selfIdx {
-		n.lock()
-		defer n.unlock()
 		return n.eng.Localize(obj)
 	}
 	p := n.peers[i]

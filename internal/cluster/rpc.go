@@ -181,22 +181,17 @@ func (n *Node) HandleRPC(ctx context.Context, req *Request) (*Response, error) {
 	case OpIngest:
 		return n.handleIngestRPC(ctx, req)
 	case OpGather:
-		n.lock()
 		var infos []query.ObjectInfo
 		if req.Historical {
 			infos = n.eng.ObjectInfosAt(req.At)
 		} else {
 			infos = n.eng.ObjectInfos()
 		}
-		now := n.eng.Now()
-		n.unlock()
-		return &Response{Now: now, Infos: infos}, nil
+		return &Response{Now: n.eng.Now(), Infos: infos}, nil
 	case OpEvaluate:
 		return n.handleEvaluateRPC(ctx, req)
 	case OpLocalize:
-		n.lock()
 		loc, ok := n.eng.Localize(req.Object)
-		n.unlock()
 		return &Response{Loc: loc, Found: ok}, nil
 	default:
 		return nil, fmt.Errorf("cluster: unknown op %d", req.Op)
@@ -216,11 +211,8 @@ func (n *Node) handleIngestRPC(ctx context.Context, req *Request) (*Response, er
 	}
 	n.idemMu.Unlock()
 
-	n.lock()
 	err := n.eng.IngestContext(ctx, req.Time, req.Readings)
-	now := n.eng.Now()
-	n.unlock()
-	resp := &Response{Now: now, Accepted: len(req.Readings)}
+	resp := &Response{Now: n.eng.Now(), Accepted: len(req.Readings)}
 	var ie *ingest.Error
 	if errors.As(err, &ie) {
 		resp.Accepted = len(req.Readings) - ie.Dropped
@@ -262,13 +254,9 @@ func (n *Node) handleEvaluateRPC(ctx context.Context, req *Request) (*Response, 
 	var tab *anchor.Table
 	var err error
 	if req.Historical {
-		n.lock()
 		tab = n.eng.PreprocessAt(req.Candidates, req.At)
-		n.unlock()
 	} else {
-		n.lock()
 		tab, err = n.eng.PreprocessContext(ctx, req.Candidates)
-		n.unlock()
 	}
 	tr.Add("remote-evaluate", trace.RouterShard, start, time.Since(start),
 		trace.Attr{Key: "from", Value: req.From},

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"context"
-
 	"repro/internal/anchor"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
@@ -15,17 +13,6 @@ import (
 func (s *System) Occupancy() []RoomOdds {
 	tab := s.Preprocess(infosToIDs(s.objectInfos()))
 	return occupancyOn(s.idx, tab)
-}
-
-// OccupancyContext is Occupancy under a caller deadline: a deadline overrun
-// returns the rooms computable from the objects preprocessed so far plus the
-// typed partial error, mirroring RangeQueryContext.
-func (s *System) OccupancyContext(ctx context.Context) ([]RoomOdds, error) {
-	tab, err := s.preprocessCtx(ctx, infosToIDs(s.objectInfos()))
-	if tab == nil {
-		tab = anchor.NewTable()
-	}
-	return occupancyOn(s.idx, tab), err
 }
 
 // occupancyOn accumulates a table's distributions into per-room expectations.

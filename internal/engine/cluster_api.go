@@ -18,52 +18,6 @@ import (
 // These accessors expose the pipeline's stages piecewise without widening
 // the query API itself.
 
-// ObjectInfos summarizes every known object for the pruning module, in
-// ascending object order. It is the gather stage of the distributed query
-// pipeline.
-func (s *System) ObjectInfos() []query.ObjectInfo { return s.objectInfos() }
-
-// ObjectInfosAt is ObjectInfos as of historical time t.
-func (s *System) ObjectInfosAt(t model.Time) []query.ObjectInfo { return s.objectInfosAt(t) }
-
-// PruneRangeContext runs the coordinator-global range pruning stage over
-// candidate summaries gathered from many engines (pass-through when the
-// optimization module is disabled). Pruning must run once, globally: the
-// uncertain-region test is per object, but only the full summary reproduces
-// the single-process candidate set bit for bit.
-func (s *System) PruneRangeContext(ctx context.Context, infos []query.ObjectInfo, windows []geom.Rect, now model.Time) ([]model.ObjectID, error) {
-	if !s.cfg.UsePruning {
-		return infoIDs(infos), nil
-	}
-	return s.pruner.RangeCandidatesContext(ctx, infos, windows, now)
-}
-
-// PruneKNNContext is the coordinator-global kNN pruning stage: it needs
-// every object's distance bound to find the k-th smallest, which is exactly
-// why the distributed pipeline prunes on the coordinator and not per owner.
-func (s *System) PruneKNNContext(ctx context.Context, infos []query.ObjectInfo, q geom.Point, k int, now model.Time) ([]model.ObjectID, error) {
-	if !s.cfg.UsePruning {
-		return infoIDs(infos), nil
-	}
-	return s.pruner.KNNCandidatesContext(ctx, infos, q, k, now)
-}
-
-func infoIDs(infos []query.ObjectInfo) []model.ObjectID {
-	out := make([]model.ObjectID, len(infos))
-	for i, in := range infos {
-		out[i] = in.Object
-	}
-	return out
-}
-
-// NoteTransportDrops accounts n readings dropped by the cluster forwarder
-// because their owning peer was unreachable. Keeping the count inside the
-// engine's Drops keeps Stats and the mirrored /metrics counters in
-// agreement. Callers provide the engine's usual external synchronization.
-func (s *System) NoteTransportDrops(n int) {
-	s.extraDrops.UnreachableReadings += n
-}
-
 // OccupancyFromTable computes per-room expected counts from an
 // already-merged distribution table, in the same pinned order as Occupancy.
 // The cluster coordinator uses it after merging tables evaluated by peers.
@@ -71,14 +25,16 @@ func OccupancyFromTable(idx *anchor.Index, tab *anchor.Table) []RoomOdds {
 	return occupancyOn(idx, tab)
 }
 
-// ObjectInfos mirrors System.ObjectInfos over the live shards.
+// ObjectInfos summarizes every known object on the live shards for the
+// pruning module, in ascending object order: the gather stage of the
+// distributed query pipeline.
 func (e *Sharded) ObjectInfos() []query.ObjectInfo {
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
 	return e.gatherInfos()
 }
 
-// ObjectInfosAt mirrors System.ObjectInfosAt over the live shards.
+// ObjectInfosAt is ObjectInfos as of historical time t.
 func (e *Sharded) ObjectInfosAt(t model.Time) []query.ObjectInfo {
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
@@ -106,29 +62,39 @@ func (e *Sharded) PreprocessAt(cands []model.ObjectID, t model.Time) *anchor.Tab
 // an identical one over the same anchor index).
 func (e *Sharded) Evaluator() *query.Evaluator { return e.shards[0].eval }
 
-// PruneRangeContext mirrors System.PruneRangeContext. The read lock fences
-// the pruner's unhealthy-reader set against a concurrent health refresh.
+// PruneRangeContext runs the coordinator-global range pruning stage over
+// candidate summaries gathered from many engines (pass-through when the
+// optimization module is disabled). Pruning must run once, globally: the
+// uncertain-region test is per object, but only the full summary reproduces
+// the single-process candidate set bit for bit. The read lock fences the
+// pruner's unhealthy-reader set against a concurrent health refresh.
 func (e *Sharded) PruneRangeContext(ctx context.Context, infos []query.ObjectInfo, windows []geom.Rect, now model.Time) ([]model.ObjectID, error) {
 	if !e.cfg.UsePruning {
-		return infoIDs(infos), nil
+		return infosToIDs(infos), nil
 	}
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
 	return e.shards[0].pruner.RangeCandidatesContext(ctx, infos, windows, now)
 }
 
-// PruneKNNContext mirrors System.PruneKNNContext under the same fence.
+// PruneKNNContext is the coordinator-global kNN pruning stage: it needs
+// every object's distance bound to find the k-th smallest, which is exactly
+// why the distributed pipeline prunes on the coordinator and not per owner.
+// Same fence as PruneRangeContext.
 func (e *Sharded) PruneKNNContext(ctx context.Context, infos []query.ObjectInfo, q geom.Point, k int, now model.Time) ([]model.ObjectID, error) {
 	if !e.cfg.UsePruning {
-		return infoIDs(infos), nil
+		return infosToIDs(infos), nil
 	}
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
 	return e.shards[0].pruner.KNNCandidatesContext(ctx, infos, q, k, now)
 }
 
-// NoteTransportDrops mirrors System.NoteTransportDrops; the count merges
-// into the router-owned extraDrops under the ingest lock.
+// NoteTransportDrops accounts n readings dropped by the cluster forwarder
+// because their owning peer was unreachable. Keeping the count inside the
+// engine's Drops keeps Stats and the mirrored /metrics counters in
+// agreement; it merges into the router-owned extraDrops under the ingest
+// lock.
 func (e *Sharded) NoteTransportDrops(n int) {
 	e.ingestMu.Lock()
 	e.extraDrops.UnreachableReadings += n

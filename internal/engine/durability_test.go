@@ -17,7 +17,9 @@ import (
 )
 
 // durableFixture is the shared small world for the recovery tests: a few
-// objects over the default office so each engine.Open stays cheap.
+// objects over the default office so each engine.Open stays cheap. The
+// durable engine runs one shard, so its WAL segments and snapshots live in
+// shard-0000/ (walDir) next to the router's snapshots and the SHARDS guard.
 type durableFixture struct {
 	plan *floorplan.Plan
 	dep  *rfid.Deployment
@@ -77,9 +79,33 @@ var (
 	probePoint  = geom.Point{X: 15, Y: 10}
 )
 
-// mustMatchOracle asserts the recovered system is bit-for-bit the oracle:
-// Stats, collector view, and the query results themselves.
-func mustMatchOracle(t *testing.T, label string, got, want *System, queries bool) {
+// walDir is the one shard's WAL and snapshot directory under a data dir.
+func walDir(dir string) string { return shardDir(dir, 0) }
+
+// copyFile copies src to dst, creating dst's directory.
+func copyFile(t *testing.T, dst, src string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, dst, data)
+}
+
+// writeFile writes data to path, creating its directory.
+func writeFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustMatchOracle asserts the recovered one-shard engine is bit-for-bit the
+// in-memory oracle: Stats, collector view, and the query results themselves.
+func mustMatchOracle(t *testing.T, label string, got *Sharded, want *System, queries bool) {
 	t.Helper()
 	if gs, ws := got.Stats(), want.Stats(); !reflect.DeepEqual(gs, ws) {
 		t.Fatalf("%s: Stats diverged:\n  got  %+v\n  want %+v", label, gs, ws)
@@ -87,7 +113,7 @@ func mustMatchOracle(t *testing.T, label string, got, want *System, queries bool
 	if got.Now() != want.Now() {
 		t.Fatalf("%s: Now %d != %d", label, got.Now(), want.Now())
 	}
-	if gc, wc := got.Collector().Snapshot(), want.Collector().Snapshot(); !reflect.DeepEqual(gc, wc) {
+	if gc, wc := got.CollectorSnapshot(), want.Collector().Snapshot(); !reflect.DeepEqual(gc, wc) {
 		for i := range wc.Objects {
 			if i < len(gc.Objects) && !reflect.DeepEqual(gc.Objects[i], wc.Objects[i]) {
 				t.Logf("%s: object %d state:\n  got  %+v\n  want %+v", label, wc.Objects[i].Object, gc.Objects[i], wc.Objects[i])
@@ -158,7 +184,7 @@ func TestCrashRecoveryAtArbitraryOffsets(t *testing.T) {
 	}
 	// Simulated crash: the process dies here. No Close, no final snapshot;
 	// the fsynced segment bytes are all that survives.
-	segs, err := wal.SegmentInfos(dir)
+	segs, err := wal.SegmentInfos(walDir(dir))
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("want one segment, got %v (%v)", segs, err)
 	}
@@ -206,9 +232,7 @@ func TestCrashRecoveryAtArbitraryOffsets(t *testing.T) {
 			}
 		}
 		cdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(cdir, filepath.Base(segs[0].Path)), full[:off], 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeFile(t, filepath.Join(walDir(cdir), filepath.Base(segs[0].Path)), full[:off])
 		recovered, err := Open(f.plan, f.dep, f.config(cdir))
 		if err != nil {
 			t.Fatalf("offset %d: Open: %v", off, err)
@@ -276,20 +300,15 @@ func TestCrashRecoveryWithSnapshots(t *testing.T) {
 	if err != nil || len(snaps) == 0 {
 		t.Fatalf("expected periodic snapshots, got %v (%v)", snaps, err)
 	}
-	segs, _ := wal.SegmentInfos(dir)
+	segs, _ := wal.SegmentInfos(walDir(dir))
 	// Snapshot pruning may have removed early segments; recovery must still
 	// work from what remains.
 	for _, n := range []int{3, 5, 9, 10, 14, 17} {
 		cdir := t.TempDir()
+		copyFile(t, filepath.Join(cdir, shardGuardFile), filepath.Join(dir, shardGuardFile))
 		copied := false
 		for _, seg := range segs {
-			data, err := os.ReadFile(seg.Path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(cdir, filepath.Base(seg.Path)), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			copyFile(t, filepath.Join(walDir(cdir), filepath.Base(seg.Path)), seg.Path)
 			copied = true
 		}
 		if !copied {
@@ -297,7 +316,7 @@ func TestCrashRecoveryWithSnapshots(t *testing.T) {
 		}
 		// Truncate the log copy to exactly n records.
 		var cut int64 = -1
-		csegs, _ := wal.SegmentInfos(cdir)
+		csegs, _ := wal.SegmentInfos(walDir(cdir))
 		remaining := n
 		for _, seg := range csegs {
 			if cut >= 0 {
@@ -321,17 +340,16 @@ func TestCrashRecoveryWithSnapshots(t *testing.T) {
 				}
 			}
 		}
+		// A snapshot barrier is the router file plus the shard's file at the
+		// same sequence; both are copied or both left out.
 		for _, sn := range snaps {
+			base := filepath.Base(sn.Path)
 			if int(sn.Seq) > n {
-				os.Remove(filepath.Join(cdir, filepath.Base(sn.Path)))
+				os.Remove(filepath.Join(cdir, base))
+				os.Remove(filepath.Join(walDir(cdir), base))
 			} else {
-				data, err := os.ReadFile(sn.Path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(cdir, filepath.Base(sn.Path)), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
+				copyFile(t, filepath.Join(cdir, base), sn.Path)
+				copyFile(t, filepath.Join(walDir(cdir), base), filepath.Join(walDir(dir), base))
 			}
 		}
 		recovered, err := Open(f.plan, f.dep, f.config(cdir))
@@ -401,8 +419,9 @@ func TestGracefulCloseThenResume(t *testing.T) {
 // gob-snapshotted, and recovered must continue bit-for-bit — the recovered
 // system re-enters the kernel (AoS state loaded back into pool arrays) and
 // answers every query exactly like an uncrashed system that did the same
-// interleaved preprocessing. The final snapshotBytes comparison additionally
-// asserts the durable encodings themselves are identical.
+// interleaved preprocessing. The snapshotBytes comparison additionally
+// asserts the shard's durable encoding is identical, and the router's
+// durable share (event log, reorder position) is compared field by field.
 func TestSoAStateRecoveryRoundTrip(t *testing.T) {
 	f := newDurableFixture(t, 24)
 	dir := t.TempDir()
@@ -422,7 +441,7 @@ func TestSoAStateRecoveryRoundTrip(t *testing.T) {
 		// Preprocess mid-stream on both sides so the periodic snapshots
 		// carry kernel-produced cached states, not just raw readings.
 		if (i+1)%6 == 0 {
-			objs := sys.Collector().KnownObjects()
+			objs := sys.KnownObjects()
 			if len(objs) > 0 {
 				preprocessed = true
 			}
@@ -444,10 +463,37 @@ func TestSoAStateRecoveryRoundTrip(t *testing.T) {
 	if !recovered.Recovery().SnapshotRestored {
 		t.Fatalf("clean shutdown should leave a snapshot: %+v", recovered.Recovery())
 	}
-	mustMatchOracle(t, "soa round trip", recovered, oracle, true)
-	if got, want := snapshotBytes(t, recovered), snapshotBytes(t, oracle); !bytes.Equal(got, want) {
+	// The shard's durable encoding is compared before the queries below:
+	// the router, not the shard, counts the recovered engine's queries.
+	if got, want := snapshotBytes(t, recovered.shards[0]), snapshotBytes(t, oracle); !bytes.Equal(got, want) {
 		t.Fatalf("recovered snapshot encoding diverged from uncrashed (%d vs %d bytes)", len(got), len(want))
 	}
+	// The router's durable share — the event log and the reorder position —
+	// must come back exactly as the uncrashed system holds it.
+	ge, gnext, gtrunc := recovered.EventsSince(0)
+	we, wnext, wtrunc := oracle.EventsSince(0)
+	if len(we) == 0 {
+		t.Fatal("stream produced no events; the event-log check is vacuous")
+	}
+	if gnext != wnext || gtrunc != wtrunc || !reflect.DeepEqual(ge, we) {
+		t.Fatalf("recovered event log diverged: %d events to offset %d (truncated %v), want %d to %d (%v)",
+			len(ge), gnext, gtrunc, len(we), wnext, wtrunc)
+	}
+	gwm, gstarted := recovered.reorder.Watermark()
+	wwm, wstarted := oracle.reorder.Watermark()
+	gms, _ := recovered.reorder.MaxSeen()
+	wms, _ := oracle.reorder.MaxSeen()
+	if gwm != wwm || gstarted != wstarted || gms != wms {
+		t.Fatalf("recovered reorder position diverged: watermark %d (started %v) maxSeen %d, want %d (%v) %d",
+			gwm, gstarted, gms, wwm, wstarted, wms)
+	}
+	if gd, wd := recovered.reorder.Drops(), oracle.reorder.Drops(); !reflect.DeepEqual(gd, wd) {
+		t.Fatalf("recovered reorder drops diverged: %+v, want %+v", gd, wd)
+	}
+	if gf, wf := recovered.reorder.ForcedFlushes(), oracle.reorder.ForcedFlushes(); gf != wf {
+		t.Fatalf("recovered forced flushes %d, want %d", gf, wf)
+	}
+	mustMatchOracle(t, "soa round trip", recovered, oracle, true)
 }
 
 // TestRecoveryTornFinalRecord and TestRecoveryCRCCorruption cover the two
@@ -459,7 +505,7 @@ func TestRecoveryTornFinalRecord(t *testing.T) {
 	for _, d := range f.deliveries {
 		sys.Ingest(d.t, d.raws)
 	}
-	segs, _ := wal.SegmentInfos(dir)
+	segs, _ := wal.SegmentInfos(walDir(dir))
 	st, err := os.Stat(segs[0].Path)
 	if err != nil {
 		t.Fatal(err)
@@ -489,7 +535,7 @@ func TestRecoveryCRCCorruptionMidSegment(t *testing.T) {
 	for _, d := range f.deliveries {
 		sys.Ingest(d.t, d.raws)
 	}
-	segs, _ := wal.SegmentInfos(dir)
+	segs, _ := wal.SegmentInfos(walDir(dir))
 	var target wal.Rec
 	if _, err := wal.ScanSegment(segs[0].Path, func(r wal.Rec) error {
 		if r.Seq == 4 {
@@ -532,7 +578,7 @@ func TestSnapshotWithEmptyWAL(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := wal.SegmentInfos(dir)
+	segs, _ := wal.SegmentInfos(walDir(dir))
 	for _, seg := range segs {
 		if err := os.Remove(seg.Path); err != nil {
 			t.Fatal(err)

@@ -33,7 +33,6 @@ import (
 	"repro/internal/rfid"
 	"repro/internal/rng"
 	"repro/internal/symbolic"
-	"repro/internal/wal"
 	"repro/internal/walkgraph"
 )
 
@@ -95,13 +94,14 @@ type Config struct {
 	Seed int64
 	// Shards partitions object state into this many in-process shards, each
 	// owning its lock, collector slice, cache, particle workers, and WAL
-	// segment stream (NewSharded/OpenSharded; New ignores it). 0 or 1 keeps
-	// the single-shard engine. Answers, Stats, and recovered state are
-	// bit-for-bit identical at any shard count.
+	// segment stream (NewSharded/Open; New ignores it). 0 and 1 both mean
+	// one shard. Answers, Stats, and recovered state are bit-for-bit
+	// identical at any shard count.
 	Shards int
 	// Durability configures the write-ahead log and snapshot store. The zero
 	// value disables durability entirely (the historical in-memory contract);
-	// a non-empty Dir enables it, but only through Open — New ignores it.
+	// a non-empty Dir enables it, but only through Open — New and NewSharded
+	// ignore it.
 	Durability DurabilityConfig
 }
 
@@ -168,7 +168,12 @@ type Stats struct {
 	Ingest ingest.Drops
 }
 
-// System is the assembled query evaluation system.
+// System is the assembled query evaluation system as one in-memory state
+// machine: collector, cache, particle filter, pruner, and evaluator over one
+// set of objects. It is not safe for concurrent use and has no write-ahead
+// log. It serves the offline tools and is the oracle the equivalence tests
+// compare against; Sharded runs one System per shard and adds the locking,
+// durability, and fault isolation a server needs.
 type System struct {
 	cfg     Config
 	g       *walkgraph.Graph
@@ -185,20 +190,13 @@ type System struct {
 	stats   Stats
 	tel     *Telemetry
 	// monitor is the per-reader liveness monitor (nil when Config.Health is
-	// disabled); extraDrops holds transport-level losses noted by the HTTP
-	// layer (oversized bodies) that never reach the reorder buffer.
-	monitor    *health.Monitor
-	extraDrops ingest.Drops
+	// disabled).
+	monitor *health.Monitor
 
 	// shardID is this engine's position in a sharded router (0 standalone);
 	// it labels filter traces, spans, and the shardTel metric handles.
-	// curTrace is the request trace of the in-flight IngestContext call, read
-	// by the reorder sink so flush-time work (WAL append/fsync, collect)
-	// attributes to the delivery that triggered it. Both are written under
-	// the same exclusion the rest of the System requires.
 	shardID  int
 	shardTel *shardMetrics
-	curTrace *trace.Context
 	// eventLog retains ENTER/LEAVE events for registry consumers (bounded).
 	eventLog []model.Event
 	eventOff int
@@ -209,22 +207,6 @@ type System struct {
 	// historical-query path's dedicated pool.
 	pools    sync.Pool
 	histPool *particle.Pool
-
-	// Durability state; all nil/zero when Config.Durability is disabled or
-	// the system was built with New instead of Open.
-	wal      *wal.Log
-	walSeq   uint64
-	walBuf   []byte
-	walErr   error
-	streamID uint64
-	lastSync time.Time
-	// sinceSnap counts acked seconds since the last snapshot; replaying
-	// counts as true so recovery never re-replays an unbounded log.
-	// snapFails counts consecutive snapshot-write failures, pacing retries
-	// (see snapFailed).
-	sinceSnap int
-	snapFails int
-	recovery  RecoveryInfo
 }
 
 // Stats returns the system's cumulative work counters, with the drop
@@ -233,7 +215,6 @@ func (s *System) Stats() Stats {
 	st := s.stats
 	st.Ingest = s.reorder.Drops()
 	st.Ingest.Merge(s.col.Drops())
-	st.Ingest.Merge(s.extraDrops)
 	st.ReadingsDropped = st.Ingest.Readings()
 	st.ReadingsPending = s.reorder.PendingReadings()
 	return st
@@ -350,75 +331,27 @@ func (s *System) KnownObjects() []model.ObjectID { return s.col.KnownObjects() }
 // *ingest.Error and counts the loss in Stats — nothing is dropped
 // silently. Unless the error's Rejected flag is set, the rest of the
 // delivery was still accepted.
-// With durability enabled (Open), every flushed second is appended to the
-// write-ahead log before it is applied, and the log is fsynced per the
-// configured policy before Ingest returns. A WAL failure is sticky: the
-// first append or sync error fail-stops ingestion (every later Ingest
-// returns the same error) rather than silently degrading to memory-only.
 func (s *System) Ingest(t model.Time, raws []model.RawReading) error {
-	if s.walErr != nil {
-		return s.walErr
-	}
-	rstart := time.Now()
-	err := s.reorder.Offer(t, raws)
-	s.curTrace.Since("reorder", s.shardID, rstart)
-	if serr := s.syncWAL(false); serr != nil {
-		return serr
-	}
-	if s.walErr != nil {
-		// The append inside the sink failed; the delivery is not durable.
-		return s.walErr
-	}
-	return err
-}
-
-// IngestContext is Ingest carrying a request trace: flush-time spans
-// (reorder, WAL append/fsync, collect) recorded while this delivery is in
-// flight attach to the trace in ctx. Callers provide the same exclusion
-// Ingest requires, so stashing the trace in the System is race-free.
-func (s *System) IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error {
-	s.curTrace = trace.From(ctx)
-	defer func() { s.curTrace = nil }()
-	return s.Ingest(t, raws)
+	return s.reorder.Offer(t, raws)
 }
 
 // FlushIngest drains every second still buffered in the reorder buffer,
 // regardless of the lateness horizon. Call it at end of stream or before
-// final queries when a non-zero horizon is configured. With durability
-// enabled the drained seconds are logged and fsynced like any others.
+// final queries when a non-zero horizon is configured.
 func (s *System) FlushIngest() {
 	s.reorder.FlushAll()
-	s.syncWAL(true)
 }
 
-// ingestSecond is the reorder buffer's sink. With durability enabled it
-// first appends the second to the write-ahead log — together with the
-// reorder buffer's position and drop accounting, so recovery restores
-// Stats exactly — then applies it, then schedules a snapshot when due.
+// ingestSecond is the reorder buffer's sink: it feeds one flushed second
+// into the collector, applying the cache invalidation rule to every ENTER
+// event, and records the reorder lag and the per-second apply timing.
 func (s *System) ingestSecond(t model.Time, raws []model.RawReading) {
 	if maxSeen, ok := s.reorder.MaxSeen(); ok && maxSeen > t {
 		s.tel.reorderLag.Observe(float64(maxSeen - t))
 	} else {
 		s.tel.reorderLag.Observe(0)
 	}
-	if s.wal != nil && s.walErr == nil {
-		wstart := time.Now()
-		s.appendWAL(t, raws)
-		s.shardTel.walAppend.Observe(time.Since(wstart).Seconds())
-		s.curTrace.Since("wal-append", s.shardID, wstart)
-	}
 	astart := time.Now()
-	s.applySecond(t, raws)
-	s.shardTel.step.Observe(time.Since(astart).Seconds())
-	s.shardTel.queueDepth.Set(float64(len(raws)))
-	s.curTrace.Since("collect", s.shardID, astart)
-	s.maybeSnapshot()
-}
-
-// applySecond feeds one flushed second into the collector, applying the
-// cache invalidation rule to every ENTER event. It is the recovery replay
-// path too, so it must not touch the WAL.
-func (s *System) applySecond(t model.Time, raws []model.RawReading) {
 	if s.monitor != nil && s.monitor.ObserveSecond(t, raws) {
 		s.refreshHealth()
 	}
@@ -443,6 +376,8 @@ func (s *System) applySecond(t model.Time, raws []model.RawReading) {
 		s.eventLog = append(s.eventLog[:0:0], s.eventLog[drop:]...)
 		s.eventOff += drop
 	}
+	s.shardTel.step.Observe(time.Since(astart).Seconds())
+	s.shardTel.queueDepth.Set(float64(len(raws)))
 }
 
 // maxEventLog bounds the retained ENTER/LEAVE event log. The sharded router
@@ -500,22 +435,13 @@ func (s *System) Preprocess(candidates []model.ObjectID) *anchor.Table {
 	return tab
 }
 
-// PreprocessContext is Preprocess with a per-request deadline, checked at
-// every per-object task boundary. On expiry the remaining objects are
-// skipped — they simply do not appear in the returned table — and a
-// *query.DeadlineError is returned alongside the partial table.
-func (s *System) PreprocessContext(ctx context.Context, candidates []model.ObjectID) (*anchor.Table, error) {
-	return s.preprocessCtx(ctx, candidates)
-}
-
 // preprocessCtx is the shared implementation; a nil ctx skips every check
 // and is exactly the pre-deadline behavior.
 //
 // The cache lends its states out (see package cache): a cache hit is
-// advanced in place and put back, never copied. The caller's lock (the
-// System's exclusion, or the shard lock under Sharded) covers the whole
-// call, and duplicate candidates are collapsed, so no state is ever
-// advanced by two workers at once. A hit whose advance would be a no-op
+// advanced in place and put back, never copied. The caller's exclusion (the
+// shard lock under Sharded) covers the whole call, and duplicate candidates
+// are collapsed, so no state is ever advanced by two workers at once. A hit whose advance would be a no-op
 // (particle.Filter.Settled) reuses the entry's memoized distribution and
 // runs neither the kernel nor the anchor snap.
 func (s *System) preprocessCtx(ctx context.Context, candidates []model.ObjectID) (*anchor.Table, error) {
@@ -731,7 +657,7 @@ func (s *System) RangeQuery(window geom.Rect) model.ResultSet {
 	tab := s.Preprocess(cands)
 	rs := s.RangeQueryOn(tab, window)
 	s.observeQuery("range", rangeDetail(window.Min.X, window.Min.Y,
-		window.Max.X-window.Min.X, window.Max.Y-window.Min.Y), len(cands), start, nil)
+		window.Max.X-window.Min.X, window.Max.Y-window.Min.Y), len(cands), start)
 	return rs
 }
 
@@ -749,7 +675,7 @@ func (s *System) KNNQuery(q geom.Point, k int) model.ResultSet {
 	cands := s.KNNCandidates(q, k)
 	tab := s.Preprocess(cands)
 	rs := s.KNNQueryOn(tab, q, k)
-	s.observeQuery("knn", knnDetail(q.X, q.Y, k), len(cands), start, nil)
+	s.observeQuery("knn", knnDetail(q.X, q.Y, k), len(cands), start)
 	return rs
 }
 

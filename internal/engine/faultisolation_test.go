@@ -20,7 +20,7 @@ import (
 var fastRetry = RetryConfig{Max: 4, BaseDelay: 50 * time.Microsecond, MaxDelay: 200 * time.Microsecond}
 
 // TestTransientWALFaultsAbsorbed injects bounded transient write and fsync
-// faults into a single durable engine: the retry loop must absorb every one —
+// faults into a one-shard durable engine: the retry loop must absorb every one —
 // no ingest error, no WAL error, retry telemetry incremented — and the final
 // state must be bit-for-bit the unfaulted oracle.
 func TestTransientWALFaultsAbsorbed(t *testing.T) {
@@ -84,7 +84,7 @@ func TestCrashRecoveryWithTransientSyncFaults(t *testing.T) {
 		t.Fatal("no sync fault fired; raise Prob or the stream length")
 	}
 	// Crash: no Close. Recovery below runs on the real filesystem.
-	segs, err := wal.SegmentInfos(dir)
+	segs, err := wal.SegmentInfos(walDir(dir))
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("want one segment, got %v (%v)", segs, err)
 	}
@@ -111,9 +111,7 @@ func TestCrashRecoveryWithTransientSyncFaults(t *testing.T) {
 	}
 	for _, b := range bounds {
 		cdir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(cdir, filepath.Base(segs[0].Path)), full[:b.end], 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeFile(t, filepath.Join(walDir(cdir), filepath.Base(segs[0].Path)), full[:b.end])
 		recovered, err := Open(f.plan, f.dep, f.config(cdir))
 		if err != nil {
 			t.Fatalf("record %d: Open: %v", b.recs, err)
@@ -262,9 +260,9 @@ func TestShardPermanentFaultIsolatesAndHeals(t *testing.T) {
 	f := newDurableFixture(t, 30)
 	fsys := errfs.New(nil, 17)
 	dir := t.TempDir()
-	sh, err := OpenSharded(f.plan, f.dep, quarantineFixtureCfg(f, dir, fsys))
+	sh, err := Open(f.plan, f.dep, quarantineFixtureCfg(f, dir, fsys))
 	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	for _, d := range f.deliveries[:faultAt] {
 		if err := sh.Ingest(d.t, d.raws); err != nil {
@@ -378,9 +376,9 @@ func testQuarantineRestart(t *testing.T, clean bool) {
 	fsys := errfs.New(nil, 19)
 	dir := t.TempDir()
 	cfg := quarantineFixtureCfg(f, dir, fsys)
-	sh, err := OpenSharded(f.plan, f.dep, cfg)
+	sh, err := Open(f.plan, f.dep, cfg)
 	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	for i, d := range f.deliveries[:restartAt] {
 		if i == faultAt {
@@ -412,7 +410,7 @@ func testQuarantineRestart(t *testing.T, clean bool) {
 		sh.stopHealer()
 	}
 
-	re, err := OpenSharded(f.plan, f.dep, cfg)
+	re, err := Open(f.plan, f.dep, cfg)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -434,5 +432,71 @@ func testQuarantineRestart(t *testing.T, clean bool) {
 	mustMatchShardedOracle(t, "restart+heal", re, quarantineOracle(t, f, 1, faultAt, restartAt))
 	if err := re.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestOneShardPermanentFaultClearsOnRestart: at one shard (the default
+// server) a permanent WAL fault fail-stops ingestion for the process only.
+// No quarantine marker is written, so a restart on a healthy disk replays
+// the acked prefix, resumes ingestion, and ends bit-for-bit where an
+// unfaulted run does — after both a clean Close and a crash.
+func TestOneShardPermanentFaultClearsOnRestart(t *testing.T) {
+	for _, clean := range []bool{true, false} {
+		name := "crash"
+		if clean {
+			name = "close"
+		}
+		t.Run(name, func(t *testing.T) {
+			const faultAt = 9
+			f := newDurableFixture(t, 20)
+			fsys := errfs.New(nil, 23)
+			dir := t.TempDir()
+			cfg := f.config(dir)
+			cfg.Durability.FS = fsys
+			cfg.Durability.Retry = fastRetry
+			sys, err := Open(f.plan, f.dep, cfg)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			for _, d := range f.deliveries[:faultAt] {
+				if err := sys.Ingest(d.t, d.raws); err != nil {
+					t.Fatalf("clean ingest: %v", err)
+				}
+			}
+			fsys.Fail(errfs.Rule{Ops: errfs.OpWrite, Path: "shard-0000"})
+			if err := sys.Ingest(f.deliveries[faultAt].t, f.deliveries[faultAt].raws); err == nil {
+				t.Fatal("Ingest on a permanently failing disk succeeded")
+			}
+			if sys.WALError() == nil {
+				t.Fatal("one-shard engine did not fail-stop on a permanent append fault")
+			}
+			if _, err := os.Stat(quarMarkerPath(dir, 0)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("fail-stop of the last live shard left a quarantine marker (stat: %v)", err)
+			}
+			fsys.Clear()
+			if clean {
+				if err := sys.Close(); err == nil {
+					t.Fatal("Close after fail-stop reported no WAL error")
+				}
+			}
+
+			re, err := Open(f.plan, f.dep, cfg)
+			if err != nil {
+				t.Fatalf("reopen on a healthy disk: %v", err)
+			}
+			defer re.Close()
+			if err := re.WALError(); err != nil {
+				t.Fatalf("reopened engine still fail-stopped: %v", err)
+			}
+			if got := re.Recovery().RecordsReplayed; got != faultAt {
+				t.Fatalf("replayed %d records, want the %d acked seconds", got, faultAt)
+			}
+			for _, d := range f.deliveries[faultAt:] {
+				if err := re.Ingest(d.t, d.raws); err != nil {
+					t.Fatalf("post-restart Ingest: %v", err)
+				}
+			}
+			mustMatchOracle(t, name+"+restart", re, f.oracle(t, len(f.deliveries)), true)
+		})
 	}
 }

@@ -58,29 +58,14 @@ func TestParallelPreprocessDeterministic(t *testing.T) {
 	}
 }
 
-// snapshotBytes encodes exactly the payload writeSnapshot would, so tests
-// can compare two systems' durable state byte for byte without a WAL
-// directory. Collector.Snapshot and Cache.Dump both emit object-ID-sorted
-// slices, so equal logical state means equal bytes.
+// snapshotBytes encodes exactly the payload a shard's snapshot barrier
+// writes for s (writeSnapshots), so tests can compare two systems' durable
+// state byte for byte without a WAL directory. Collector.Snapshot and
+// Cache.Dump both emit object-ID-sorted slices, so equal logical state means
+// equal bytes.
 func snapshotBytes(t *testing.T, s *System) []byte {
 	t.Helper()
-	hits, misses := s.cache.Stats()
-	wm, started := s.reorder.Watermark()
-	ms, _ := s.reorder.MaxSeen()
-	snap := engineSnap{
-		Stats:          s.stats,
-		Collector:      s.col.Snapshot(),
-		CacheEntries:   s.cache.Dump(),
-		CacheHits:      hits,
-		CacheMisses:    misses,
-		Events:         s.eventLog,
-		EventOff:       s.eventOff,
-		ReorderStarted: started,
-		Watermark:      wm,
-		MaxSeen:        ms,
-		Drops:          s.reorder.Drops(),
-		Forced:         s.reorder.ForcedFlushes(),
-	}
+	snap := s.snapshot()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
 		t.Fatalf("encode snapshot: %v", err)

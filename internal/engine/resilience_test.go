@@ -30,7 +30,9 @@ func resultSetsEqual(a, b model.ResultSet) bool {
 // layer must be bit-for-bit invisible — a health-enabled engine and a
 // health-disabled engine fed the identical clean stream produce identical
 // preprocessing tables and identical query answers, and the context-aware
-// query path with an unbounded context matches the plain path exactly.
+// query path with an unbounded context matches the plain path exactly. Both
+// engines are one-shard routers: the router owns the health monitor and the
+// context-aware query path.
 func TestHealthCompensationPassivity(t *testing.T) {
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
@@ -44,8 +46,8 @@ func TestHealthCompensationPassivity(t *testing.T) {
 	cfgOff.Seed = 11
 	cfgOff.Health = health.Config{}
 
-	sysOn := MustNew(plan, dep, cfgOn)
-	sysOff := MustNew(plan, dep, cfgOff)
+	sysOn := MustNewSharded(plan, dep, cfgOn)
+	sysOff := MustNewSharded(plan, dep, cfgOff)
 
 	world := sim.MustNew(sysOn.Graph(), rfid.NewSensor(dep), sim.DefaultTraceConfig(), 77)
 	for i := 0; i < 200; i++ {
@@ -64,7 +66,7 @@ func TestHealthCompensationPassivity(t *testing.T) {
 		}
 	}
 
-	objs := sysOn.Collector().KnownObjects()
+	objs := sysOn.KnownObjects()
 	if len(objs) == 0 {
 		t.Fatal("no objects known")
 	}
@@ -235,7 +237,7 @@ func TestOutageCompensationRecall(t *testing.T) {
 		kTot += len(trueK)
 	})
 
-	rh := f.sysOn.ReaderHealth()
+	rh := f.sysOn.monitor.Snapshot(f.sysOn.Now())
 	if rh[f.dead].State == health.Live {
 		t.Fatalf("monitor never flagged reader %d (rate=%v missed=%v); recall comparison would be vacuous",
 			f.dead, rh[f.dead].Rate, rh[f.dead].Missed)
@@ -309,7 +311,7 @@ func TestDeadlineReturnsTypedPartial(t *testing.T) {
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
 	cfg := DefaultConfig()
 	cfg.Seed = 2
-	sys := MustNew(plan, dep, cfg)
+	sys := MustNewSharded(plan, dep, cfg)
 	world := sim.MustNew(sys.Graph(), rfid.NewSensor(dep), sim.DefaultTraceConfig(), 13)
 	for i := 0; i < 60; i++ {
 		tm, raws := world.Step()
@@ -365,7 +367,7 @@ func TestParticleBudgetDegradesAndRestores(t *testing.T) {
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
 	cfg := DefaultConfig()
 	cfg.Seed = 4
-	sys := MustNew(plan, dep, cfg)
+	sys := MustNewSharded(plan, dep, cfg)
 	if got := sys.ParticleBudget(); got != cfg.Particle.Ns {
 		t.Fatalf("initial particle budget %d, want configured Ns %d", got, cfg.Particle.Ns)
 	}

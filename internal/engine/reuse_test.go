@@ -234,7 +234,7 @@ func runReuseEquivalence(t *testing.T, tweak func(*particle.Config), workers int
 				ctxB = &countdownCtx{Context: context.Background(), left: left}
 				cuts++
 			}
-			tabA, errA := sys.PreprocessContext(ctxA, cands)
+			tabA, errA := sys.preprocessCtx(ctxA, cands)
 			tabB, errB := refPreprocess(ref, ctxB, cands)
 			queries++
 			if (errA == nil) != (errB == nil) {
@@ -300,7 +300,7 @@ func TestReusedDistributionTelemetry(t *testing.T) {
 
 	tracer := trace.New(trace.Config{Sample: 1, Seed: 3})
 	tc := tracer.Start("repeat")
-	again, err := sys.PreprocessContext(trace.With(context.Background(), tc), objs)
+	again, err := sys.preprocessCtx(trace.With(context.Background(), tc), objs)
 	tracer.Finish(tc)
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/anchor"
+	"repro/internal/collector"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/health"
@@ -32,9 +33,9 @@ import (
 // rather than allocate a hundred thousand collectors.
 const MaxShards = 256
 
-// Sharded partitions object state across N independent single-shard engines
-// by consistent hash of the object ID (internal/shardmap) and routes every
-// operation through a thin deterministic layer:
+// Sharded partitions object state across N independent System state
+// machines by consistent hash of the object ID (internal/shardmap) and
+// routes every operation through a thin deterministic layer:
 //
 //   - Ingestion runs through ONE reorder buffer and ONE reader-health
 //     monitor owned by the router; each flushed second is split into
@@ -51,10 +52,13 @@ const MaxShards = 256
 // Because every per-object computation is keyed by (Seed, object, last
 // reading time) — never by which other objects share the engine — a Sharded
 // engine's answers, Stats, and recovered state are bit-for-bit identical to
-// the single-shard engine at any shard count (DESIGN.md §14).
+// one in-memory System fed the same stream, at any shard count
+// (DESIGN.md §14).
 //
-// Sharded synchronizes internally (unlike System): ingest, queries, and
-// stats reads may run concurrently. The lock hierarchy is
+// Sharded is the only engine the server and the cluster node hold, at any
+// shard count including one. It synchronizes internally (unlike System):
+// ingest, queries, and stats reads may run concurrently, and no caller wraps
+// it in a lock of its own. The lock hierarchy is
 // ingestMu > healthMu > histMu > shardMu[i]; locks are only ever acquired
 // left to right, and the per-shard locks are never nested with each other.
 type Sharded struct {
@@ -89,7 +93,7 @@ type Sharded struct {
 
 	// histMu guards the router-owned historical-query state: the shared
 	// random source and the recycled pool, consumed serially exactly like
-	// the single engine's PreprocessAt.
+	// System.PreprocessAt.
 	histMu   sync.Mutex
 	src      *rng.Source
 	histPool *particle.Pool
@@ -133,7 +137,7 @@ type Sharded struct {
 // (0 and 1 both mean one shard); the rest of the configuration is applied
 // to every shard, except that the router owns ingestion (Config.Ingest),
 // health monitoring (Config.Health), and durability (Config.Durability) —
-// use OpenSharded for the latter.
+// use Open for the latter.
 func NewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharded, error) {
 	n := cfg.Shards
 	if n <= 0 {
@@ -144,8 +148,8 @@ func NewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharde
 	}
 	shardCfg := cfg
 	shardCfg.Shards = 0
-	shardCfg.Ingest = ingest.Config{}       // router owns the reorder buffer
-	shardCfg.Health = health.Config{}       // router owns the monitor
+	shardCfg.Ingest = ingest.Config{}        // router owns the reorder buffer
+	shardCfg.Health = health.Config{}        // router owns the monitor
 	shardCfg.Durability = DurabilityConfig{} // router owns the WAL streams
 	// Split the preprocessing worker budget across shards: a scatter runs
 	// all shards' phase-2 pools at once, and n*Workers goroutines would
@@ -179,7 +183,7 @@ func NewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharde
 		e.shards[i] = sh
 	}
 	// All shards publish into shard 0's telemetry so counters, histograms
-	// and the trace ring aggregate exactly like the single engine's (the
+	// and the trace ring aggregate exactly like one System's (the
 	// record paths are atomic or ring-locked, so concurrent shards are
 	// safe). Re-instrument the components constructed against the private
 	// surfaces.
@@ -219,10 +223,6 @@ func MustNewSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) *Sha
 // NumShards returns the shard count.
 func (e *Sharded) NumShards() int { return e.n }
 
-// SelfSynchronizing reports that Sharded performs its own locking; the HTTP
-// server skips its global mutex when the engine says so.
-func (e *Sharded) SelfSynchronizing() bool { return true }
-
 // Accessors mirror System's; the floor plan artifacts are identical in
 // every shard, so shard 0's serve.
 
@@ -249,8 +249,13 @@ func (e *Sharded) Now() model.Time {
 // Ingestion: one reorder buffer, scatter per second, deterministic event merge.
 
 // Ingest feeds one delivery through the router's reorder buffer; flushed
-// seconds are partitioned by object and applied to every shard. The error
-// contract matches System.Ingest, including sticky WAL fail-stop.
+// seconds are partitioned by object and applied to every shard. Refused or
+// discarded input returns a typed *ingest.Error, as System.Ingest does;
+// with durability on, every flushed second is appended to every live
+// shard's WAL before it is applied and the logs are fsynced per the policy
+// before Ingest returns. Readings owed to a quarantined shard come back as
+// a typed partial drop; only an all-shards-down engine fail-stops with a
+// sticky WAL error.
 func (e *Sharded) Ingest(t model.Time, raws []model.RawReading) error {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -447,7 +452,7 @@ func (e *Sharded) EventsSince(seq int) (events []model.Event, next int, truncate
 // Queries: gather candidates, prune once, scatter preprocessing, merge, eval.
 
 // gatherInfos merges every live shard's candidate summaries in ascending
-// object order — identical to the single engine's objectInfos because
+// object order — identical to one System's objectInfos because
 // KnownObjects is sorted and shards hold disjoint objects. Quarantined
 // shards are excluded: their state is frozen mid-quarantine and answering
 // from it would mix epochs; callers surface the gap via quarantineErr.
@@ -655,7 +660,7 @@ func (e *Sharded) KNNQueryContext(ctx context.Context, q geom.Point, k int) (mod
 
 // RangeQueryAt answers a historical range query. The filter runs consume
 // the router's shared random source serially in sorted object order, so the
-// draw sequence matches the single engine's PreprocessAt exactly.
+// draw sequence matches System.PreprocessAt exactly.
 func (e *Sharded) RangeQueryAt(window geom.Rect, t model.Time) model.ResultSet {
 	e.healthMu.RLock()
 	defer e.healthMu.RUnlock()
@@ -757,7 +762,7 @@ func (e *Sharded) OccupancyContext(ctx context.Context) ([]RoomOdds, error) {
 
 // Stats merges per-shard counters with the router's ingest accounting.
 // Every term is either an order-insensitive integer sum or router-owned, so
-// the result matches the single engine's exactly.
+// the result matches one System's over the whole stream exactly.
 func (e *Sharded) Stats() Stats {
 	e.ingestMu.Lock()
 	st := Stats{}
@@ -802,7 +807,31 @@ func (e *Sharded) KnownObjects() []model.ObjectID {
 	return kMerge(per, func(a, b model.ObjectID) bool { return a < b })
 }
 
-// ReaderHealth mirrors System.ReaderHealth from the router's monitor.
+// CollectorSnapshot merges the shards' collector states into the snapshot
+// one collector fed the whole stream would hold: objects in ID order (each
+// lives in exactly one shard), the shared clock, and summed drop counters.
+// The harnesses diff it against an in-memory System oracle.
+func (e *Sharded) CollectorSnapshot() collector.Snapshot {
+	var out collector.Snapshot
+	per := make([][]collector.ObjectSnapshot, e.n)
+	for i, sh := range e.shards {
+		e.shardMu[i].Lock()
+		snap := sh.col.Snapshot()
+		e.shardMu[i].Unlock()
+		per[i] = snap.Objects
+		out.Now, out.Started, out.Historic = snap.Now, snap.Started, snap.Historic
+		out.Drops.Merge(snap.Drops)
+	}
+	out.Objects = kMerge(per, func(a, b collector.ObjectSnapshot) bool { return a.Object < b.Object })
+	if out.Objects == nil {
+		// Collector.Snapshot never returns nil Objects; match it exactly.
+		out.Objects = []collector.ObjectSnapshot{}
+	}
+	return out
+}
+
+// ReaderHealth returns the liveness snapshot of every reader from the
+// router's monitor, or nil when health monitoring is disabled.
 func (e *Sharded) ReaderHealth() []health.ReaderHealth {
 	if e.monitor == nil {
 		return nil
@@ -834,16 +863,18 @@ func (e *Sharded) ParticleBudget() int {
 	return e.shards[0].filter.ParticleBudget()
 }
 
-// NoteOversizedBody accounts one oversized ingest delivery, like
-// System.NoteOversizedBody.
+// NoteOversizedBody accounts one rejected ingest delivery whose HTTP body
+// exceeded the configured cap. The loss never reaches the reorder buffer,
+// so the HTTP layer reports it here to keep the drop accounting complete.
 func (e *Sharded) NoteOversizedBody() {
 	e.ingestMu.Lock()
 	e.extraDrops.OversizedBatches++
 	e.ingestMu.Unlock()
 }
 
-// SyncMetrics refreshes the scrape-time gauges from the merged state,
-// mirroring System.SyncMetrics.
+// SyncMetrics refreshes the scrape-time mirrors (ingest accounting, lag,
+// pending depth, population and cache sizes, WAL position, reader health)
+// from the merged engine state.
 func (e *Sharded) SyncMetrics() {
 	e.metricsMu.Lock()
 	defer e.metricsMu.Unlock()

@@ -21,8 +21,9 @@ import (
 	"repro/internal/wal"
 )
 
-// Sharded durability: one WAL stream per shard plus a router snapshot
-// stream, all sharing the single engine's stream identity.
+// Durability: one WAL stream per shard plus a router snapshot stream, all
+// sharing one stream identity (Config.StreamID). This is the engine's only
+// durability path; a one-shard engine uses the same layout.
 //
 // Layout under Durability.Dir:
 //
@@ -40,8 +41,8 @@ import (
 // second by second through the same applyParts path live ingestion uses. A
 // crash between the per-shard appends of one second leaves a ragged tail;
 // recovery replays to the shortest live log's last sequence and truncates
-// the shards that got further (wal.TruncateTo), which is exactly the
-// all-or-nothing cut the single engine's torn-tail repair makes.
+// the shards that got further (wal.TruncateTo): a second is recovered in
+// every shard or in none, the same all-or-nothing cut a torn tail gets.
 //
 // A quarantine marker changes the reading of a short log: the marked shard
 // is legitimately behind (its log was cut when the shard fail-stopped), so
@@ -60,11 +61,17 @@ func shardDir(dir string, i int) string {
 
 // checkShardGuard pins dir to one shard count. The shard map is a pure
 // function of (object, count), so opening a directory with a different
-// count would scatter recovered objects across the wrong shards.
+// count would scatter recovered objects across the wrong shards. A root
+// without the guard but with WAL segments or snapshots was written by the
+// retired single-engine layout (segments and snapshots directly in the
+// root); it is refused untouched rather than silently opened empty.
 func checkShardGuard(fsys wal.FS, dir string, n int) error {
 	path := filepath.Join(dir, shardGuardFile)
 	data, err := wal.ReadFileFS(fsys, path)
 	if errors.Is(err, os.ErrNotExist) {
+		if err := refuseFlatLayout(fsys, dir); err != nil {
+			return err
+		}
 		if err := fsys.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("engine: create data dir: %w", err)
 		}
@@ -82,6 +89,24 @@ func checkShardGuard(fsys wal.FS, dir string, n int) error {
 	}
 	if have != n {
 		return fmt.Errorf("engine: data directory %s was written with %d shards, refusing to open with %d (the shard map would misroute recovered objects)", dir, have, n)
+	}
+	return nil
+}
+
+// refuseFlatLayout returns an error naming the single-engine layout when
+// dir's root holds WAL segments or snapshots. A missing dir is fine.
+func refuseFlatLayout(fsys wal.FS, dir string) error {
+	segs, err := wal.SegmentInfosFS(fsys, dir)
+	if err != nil {
+		return err
+	}
+	snaps, err := wal.ListSnapshotsFS(fsys, dir)
+	if err != nil {
+		return err
+	}
+	if len(segs) > 0 || len(snaps) > 0 {
+		return fmt.Errorf("engine: data directory %s holds %d WAL segments and %d snapshots in the single-engine layout (no %s guard, no shard-NNNN/ directories); refusing to open it, which would start an empty engine over it",
+			dir, len(segs), len(snaps), shardGuardFile)
 	}
 	return nil
 }
@@ -123,15 +148,30 @@ type shardSnap struct {
 	CacheMisses  int
 }
 
-// Recovery returns what OpenSharded found in the data directory.
-func (e *Sharded) Recovery() RecoveryInfo { return e.recovery }
-
-// DurabilityEnabled reports whether this engine writes WALs.
-func (e *Sharded) DurabilityEnabled() bool {
-	e.ingestMu.Lock()
-	defer e.ingestMu.Unlock()
-	return e.wals != nil
+// snapshot captures the shard-owned state for a snapshot barrier.
+func (s *System) snapshot() shardSnap {
+	hits, misses := s.cache.Stats()
+	return shardSnap{
+		Stats:        s.stats,
+		Collector:    s.col.Snapshot(),
+		CacheEntries: s.cache.Dump(),
+		CacheHits:    hits,
+		CacheMisses:  misses,
+	}
 }
+
+// restore replaces the shard-owned state with a snapshot's; the zero
+// shardSnap resets the shard to empty.
+func (s *System) restore(ss *shardSnap) {
+	s.stats = ss.Stats
+	s.col.Restore(ss.Collector)
+	s.cache.RestoreEntries(ss.CacheEntries)
+	s.cache.RestoreStats(ss.CacheHits, ss.CacheMisses)
+}
+
+// Recovery returns what Open found in the data directory (zero for engines
+// built with NewSharded).
+func (e *Sharded) Recovery() RecoveryInfo { return e.recovery }
 
 // WALError returns the sticky WAL failure, or nil while at least one shard
 // log is healthy. Single-shard quarantines are NOT engine failures — see
@@ -142,13 +182,20 @@ func (e *Sharded) WALError() error {
 	return e.walErr
 }
 
-// OpenSharded assembles a Sharded engine like NewSharded and, when
-// durability is enabled, recovers it from the data directory. The recovered
-// state is bit-for-bit identical to the single engine's recovery over the
-// same acked prefix, at any shard count. Shards with a quarantine marker
-// come back quarantined (their logs are exempt from the lockstep cut) and
-// the self-heal loop is scheduled for them.
-func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharded, error) {
+// Open assembles a Sharded engine like NewSharded (cfg.Shards of 0 or 1
+// means one shard) and, when durability is enabled, recovers it from the
+// data directory: the newest snapshot barrier readable in the router and
+// every shard is restored, the shard logs are replayed from there in
+// lockstep (repairing torn or corrupt tails in place), and every subsequent
+// acked second is logged. Recovery is deterministic — the recovered engine
+// answers bit-for-bit like an uncrashed one over the same acked prefix, at
+// any shard count. A directory written by a different floor plan,
+// deployment, or seed refuses to load with a *wal.MismatchError; one
+// written with a different shard count, or in the retired single-engine
+// layout, is refused before anything is written. Shards with a quarantine
+// marker come back quarantined (their logs are exempt from the lockstep
+// cut) and the self-heal loop is scheduled for them.
+func Open(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharded, error) {
 	e, err := NewSharded(plan, dep, cfg)
 	if err != nil {
 		return nil, err
@@ -288,10 +335,7 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 			if !ok {
 				continue // marked shard: restored from its own base below
 			}
-			sh.stats = ss.Stats
-			sh.col.Restore(ss.Collector)
-			sh.cache.RestoreEntries(ss.CacheEntries)
-			sh.cache.RestoreStats(ss.CacheHits, ss.CacheMisses)
+			sh.restore(&ss)
 		}
 		e.walSeq = snapSeq
 	}
@@ -344,11 +388,7 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 				if derr := gob.NewDecoder(bytes.NewReader(spayload)).Decode(&ss); derr != nil {
 					continue
 				}
-				sh := e.shards[i]
-				sh.stats = ss.Stats
-				sh.col.Restore(ss.Collector)
-				sh.cache.RestoreEntries(ss.CacheEntries)
-				sh.cache.RestoreStats(ss.CacheHits, ss.CacheMisses)
+				e.shards[i].restore(&ss)
 				base[i] = lists[k].Seq
 				found = true
 			}
@@ -541,8 +581,11 @@ func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Shard
 	}
 	rec.LastSeq = e.walSeq
 
-	// Position the reorder buffer; the last replayed record's view wins
-	// over the snapshot's (see Open for the rationale).
+	// Position the reorder buffer at the recovered stream point. The last
+	// replayed record's view wins over the snapshot's; restoring its exact
+	// watermark (rather than re-deriving maxSeen-horizon) errs toward
+	// re-accepting a retransmission of a flushed-but-unacked crash-window
+	// second instead of refusing it as late.
 	switch {
 	case lastMeta != nil:
 		e.reorder.Restore(lastMeta.Time, lastMeta.MaxSeen, lastMeta.Drops, lastMeta.Forced)
@@ -722,9 +765,10 @@ func (e *Sharded) maybeSnapshot() {
 	}
 }
 
-// snapFailed mirrors System.snapFailed: count the failure and pace the
-// retry schedule so a broken snapshot store doesn't turn every flush into a
-// doomed write.
+// snapFailed counts one failed snapshot barrier and paces retries: the next
+// few flushed seconds retry immediately (sinceSnap stays over the
+// threshold), then the schedule backs off a full SnapshotEvery window so a
+// broken snapshot store doesn't turn every flush into a doomed write.
 func (e *Sharded) snapFailed(err error) {
 	e.tel.walSnapshotErrors.Inc()
 	e.tel.snapshotFailures.Inc()
@@ -796,14 +840,7 @@ func (e *Sharded) writeSnapshots() error {
 			continue
 		}
 		e.shardMu[i].Lock()
-		hits, misses := sh.cache.Stats()
-		ssnap := shardSnap{
-			Stats:        sh.stats,
-			Collector:    sh.col.Snapshot(),
-			CacheEntries: sh.cache.Dump(),
-			CacheHits:    hits,
-			CacheMisses:  misses,
-		}
+		ssnap := sh.snapshot()
 		e.shardMu[i].Unlock()
 		buf.Reset()
 		if err := gob.NewEncoder(&buf).Encode(&ssnap); err != nil {
@@ -843,11 +880,11 @@ func (e *Sharded) writeSnapshots() error {
 	return nil
 }
 
-// Close shuts the durability layer down cleanly, mirroring System.Close:
-// the heal loop stopped, buffered seconds flushed and logged, a final
-// snapshot barrier, all live logs synced and closed. Quarantined shards'
-// markers stay on disk so the next OpenSharded resumes their healing.
-// No-op for engines built with NewSharded.
+// Close shuts the durability layer down cleanly: the heal loop stopped,
+// buffered seconds flushed and logged, a final snapshot barrier, all live
+// logs synced and closed. Quarantined shards' markers stay on disk so the
+// next Open resumes their healing. No-op for engines built with
+// NewSharded. The engine must not be used after Close.
 func (e *Sharded) Close() error {
 	e.stopHealer()
 	e.ingestMu.Lock()
@@ -877,4 +914,11 @@ func (e *Sharded) Close() error {
 		return syncErr
 	}
 	return closeErr
+}
+
+// OpenSharded is Open.
+//
+// Deprecated: use Open.
+func OpenSharded(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (*Sharded, error) {
+	return Open(plan, dep, cfg)
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/collector"
 	"repro/internal/model"
 	"repro/internal/wal"
 )
@@ -164,7 +163,8 @@ func readQuarMarkers(fsys wal.FS, dir string, n int) (map[int]uint64, error) {
 // quarantineShard takes shard i out of the durability pipeline after an
 // unrecoverable WAL failure: its log is closed at the last whole record, a
 // durable marker written, and the self-heal loop scheduled. Healthy shards
-// are untouched. Called under ingestMu.
+// are untouched. If it was the last live shard, the engine fail-stops
+// instead. Called under ingestMu.
 func (e *Sharded) quarantineShard(i int, cause error) {
 	if !e.shardState[i].CompareAndSwap(shardLive, shardQuarantined) {
 		return
@@ -184,14 +184,19 @@ func (e *Sharded) quarantineShard(i int, cause error) {
 	e.quar[i] = &quarInfo{seq: seq, cause: cause, nextTry: time.Now().Add(e.cfg.Durability.healBaseDelay())}
 	e.shards[i].shardTel.quarantined.Set(1)
 	e.tel.shardQuarantines.Inc()
+	if e.liveShards() == 0 {
+		// No live shard is left, so this is an engine fail-stop, and it lasts
+		// for this process only: no marker is written, and the next Open
+		// replays this shard's log (ending at its last whole record) as a
+		// live shard. A marker here would leave every shard marked, which
+		// Open refuses for good — at one shard, any disk fault.
+		e.failWAL(fmt.Errorf("all %d shards quarantined; last cause: %w", e.n, cause))
+		return
+	}
 	if err := writeQuarMarker(e.cfg.Durability.fsys(), e.cfg.Durability.Dir, i, seq); err != nil {
 		log.Printf("engine: write quarantine marker for shard %d: %v", i, err)
 	}
 	log.Printf("engine: shard %d quarantined at seq %d: %v (live shards continue; self-heal scheduled)", i, seq, cause)
-	if e.liveShards() == 0 {
-		e.failWAL(fmt.Errorf("all %d shards quarantined; last cause: %w", e.n, cause))
-		return
-	}
 	e.startHealer()
 	e.kickHealer()
 }
@@ -438,19 +443,9 @@ func (e *Sharded) tryHeal(i int) error {
 	sh := e.shards[i]
 	var healEvents []model.Event
 	e.shardMu[i].Lock()
-	if restored {
-		sh.stats = ssnap.Stats
-		sh.col.Restore(ssnap.Collector)
-		sh.cache.RestoreEntries(ssnap.CacheEntries)
-		sh.cache.RestoreStats(ssnap.CacheHits, ssnap.CacheMisses)
-	} else {
-		// No usable snapshot: the shard restarts from nothing and its whole
-		// log replays below.
-		sh.stats = Stats{}
-		sh.col.Restore(collector.Snapshot{})
-		sh.cache.RestoreEntries(nil)
-		sh.cache.RestoreStats(0, 0)
-	}
+	// Without a usable snapshot ssnap is zero: the shard restarts from
+	// nothing and its whole log replays below.
+	sh.restore(&ssnap)
 	for k := range batches {
 		b := &batches[k]
 		dropped := sh.col.Drops().Readings()

@@ -170,9 +170,9 @@ func TestShardedQuarantineHealStress(t *testing.T) {
 		HealBaseDelay: time.Millisecond,
 		HealMaxDelay:  4 * time.Millisecond,
 	}
-	sh, err := OpenSharded(plan, dep, cfg)
+	sh, err := Open(plan, dep, cfg)
 	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	tc := sim.DefaultTraceConfig()
 	tc.NumObjects = 40

@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -18,18 +22,18 @@ import (
 // events, and every counter. Equivalence tests compare it with
 // reflect.DeepEqual, so ordering is pinned too.
 type shardedOutcome struct {
-	rng     model.ResultSet
-	knn     model.ResultSet
-	rngAt   model.ResultSet
-	knnAt   model.ResultSet
-	occ     []RoomOdds
-	loc     Localization
-	locOK   bool
-	events  []model.Event
-	known   []model.ObjectID
-	stats   Stats
-	hits    int
-	misses  int
+	rng    model.ResultSet
+	knn    model.ResultSet
+	rngAt  model.ResultSet
+	knnAt  model.ResultSet
+	occ    []RoomOdds
+	loc    Localization
+	locOK  bool
+	events []model.Event
+	known  []model.ObjectID
+	stats  Stats
+	hits   int
+	misses int
 }
 
 // observe runs the fixed ingest stream and query sequence against any engine
@@ -184,9 +188,10 @@ func ingestTrace(t *testing.T, sys interface {
 }
 
 // TestShardedRecoveryEquivalence pins recovery: after an identical durable
-// ingest run, a reopened Sharded engine at any shard count answers exactly
-// like a reopened single engine — whether the first process closed cleanly
-// (snapshot restore) or vanished without Close (pure WAL replay).
+// ingest run, a reopened engine at any shard count answers exactly like an
+// uncrashed in-memory System fed the same acked deliveries — whether the
+// first process closed cleanly (snapshot restore) or vanished without Close
+// (pure WAL replay).
 func TestShardedRecoveryEquivalence(t *testing.T) {
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
@@ -203,38 +208,22 @@ func TestShardedRecoveryEquivalence(t *testing.T) {
 			name = "crash"
 		}
 		t.Run(name, func(t *testing.T) {
-			// Single-engine baseline.
-			dir := t.TempDir()
-			sys, err := Open(plan, dep, newCfg(dir))
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			world := sim.MustNew(sys.Graph(), rfid.NewSensor(dep), traceCfg120(), 77)
-			ingestTrace(t, sys, world, 60)
-			if clean {
-				if err := sys.Close(); err != nil {
-					t.Fatalf("Close: %v", err)
-				}
-			}
-			re, err := Open(plan, dep, newCfg(dir))
-			if err != nil {
-				t.Fatalf("reopen single: %v", err)
-			}
-			base := recoveredOutcome(re)
+			// In-memory oracle baseline.
+			oracle := MustNew(plan, dep, newCfg(""))
+			world := sim.MustNew(oracle.Graph(), rfid.NewSensor(dep), traceCfg120(), 77)
+			ingestTrace(t, oracle, world, 60)
+			base := recoveredOutcome(oracle)
 			if len(base.known) == 0 || len(base.rng) == 0 {
-				t.Fatalf("recovered baseline is vacuous: %d objects, %d range rows", len(base.known), len(base.rng))
-			}
-			if clean != re.Recovery().SnapshotRestored {
-				t.Fatalf("single: SnapshotRestored = %v after %s", re.Recovery().SnapshotRestored, name)
+				t.Fatalf("oracle baseline is vacuous: %d objects, %d range rows", len(base.known), len(base.rng))
 			}
 
 			for _, n := range []int{1, 4, 16} {
 				sdir := t.TempDir()
 				cfg := newCfg(sdir)
 				cfg.Shards = n
-				sh, err := OpenSharded(plan, dep, cfg)
+				sh, err := Open(plan, dep, cfg)
 				if err != nil {
-					t.Fatalf("OpenSharded(%d): %v", n, err)
+					t.Fatalf("Open(%d shards): %v", n, err)
 				}
 				world := sim.MustNew(sh.Graph(), rfid.NewSensor(dep), traceCfg120(), 77)
 				ingestTrace(t, sh, world, 60)
@@ -243,7 +232,7 @@ func TestShardedRecoveryEquivalence(t *testing.T) {
 						t.Fatalf("Close sharded(%d): %v", n, err)
 					}
 				}
-				sre, err := OpenSharded(plan, dep, cfg)
+				sre, err := Open(plan, dep, cfg)
 				if err != nil {
 					t.Fatalf("reopen sharded(%d): %v", n, err)
 				}
@@ -290,17 +279,110 @@ func TestShardedShardGuard(t *testing.T) {
 	cfg.Seed = 1
 	cfg.Shards = 4
 	cfg.Durability = DurabilityConfig{Dir: dir, Fsync: wal.SyncAlways}
-	sh, err := OpenSharded(plan, dep, cfg)
+	sh, err := Open(plan, dep, cfg)
 	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	if err := sh.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	cfg.Shards = 8
-	if _, err := OpenSharded(plan, dep, cfg); err == nil {
+	if _, err := Open(plan, dep, cfg); err == nil {
 		t.Fatal("reopening a 4-shard directory with 8 shards succeeded")
 	}
+}
+
+// TestOpenRefusesSingleEngineLayout: a data directory in the retired flat
+// layout (WAL segments and snapshots directly in the root, no SHARDS guard)
+// must be refused with an error naming that layout, and left byte for byte
+// as it was — opening it would otherwise start an empty engine over it.
+func TestOpenRefusesSingleEngineLayout(t *testing.T) {
+	plan := floorplan.DefaultOffice()
+	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
+	cfg := DefaultConfig()
+	cfg.Seed = 33
+	sid, err := cfg.StreamID(plan, dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name            string
+		segments, snaps bool
+	}{{"segments+snapshot", true, true}, {"segments", true, false}, {"snapshot", false, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.segments {
+				l, _, err := wal.Open(dir, wal.Options{StreamID: sid}, func(uint64, []byte) error { return nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				for seq := uint64(1); seq <= 3; seq++ {
+					b := wal.Batch{Time: model.Time(seq), Readings: []model.RawReading{{Object: 1, Reader: 0, Time: model.Time(seq)}}}
+					if err := l.Append(seq, b.Encode(nil)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.snaps {
+				if _, err := wal.WriteSnapshot(dir, sid, 3, []byte("single-engine snapshot")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirContents(t, dir)
+			for _, shards := range []int{1, 4} {
+				c := cfg
+				c.Shards = shards
+				c.Durability = DurabilityConfig{Dir: dir, Fsync: wal.SyncAlways}
+				e, err := Open(plan, dep, c)
+				if err == nil {
+					e.Close()
+					t.Fatalf("shards=%d: Open accepted a single-engine data directory", shards)
+				}
+				if !strings.Contains(err.Error(), "single-engine layout") {
+					t.Errorf("shards=%d: error does not name the single-engine layout: %v", shards, err)
+				}
+				if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+					t.Fatalf("shards=%d: refused Open modified the directory:\n before %v\n after  %v", shards, keys(before), keys(after))
+				}
+			}
+		})
+	}
+}
+
+// dirContents maps every path under dir (directories included, with empty
+// content) to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if d.IsDir() {
+			out[rel+"/"] = ""
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		out[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func keys(m map[string]string) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestShardedRaggedTailRecovery crashes a sharded engine "between the
@@ -316,9 +398,9 @@ func TestShardedRaggedTailRecovery(t *testing.T) {
 	cfg.Shards = 4
 	cfg.Durability = DurabilityConfig{Dir: dir, Fsync: wal.SyncAlways}
 
-	sh, err := OpenSharded(plan, dep, cfg)
+	sh, err := Open(plan, dep, cfg)
 	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	world := sim.MustNew(sh.Graph(), rfid.NewSensor(dep), traceCfg120(), 77)
 	var last model.Time
@@ -354,7 +436,7 @@ func TestShardedRaggedTailRecovery(t *testing.T) {
 		t.Fatalf("close shard-0000 log: %v", err)
 	}
 
-	re, err := OpenSharded(plan, dep, cfg)
+	re, err := Open(plan, dep, cfg)
 	if err != nil {
 		t.Fatalf("reopen after ragged tail: %v", err)
 	}

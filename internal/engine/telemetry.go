@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/ingest"
 	"repro/internal/obs"
-	"repro/internal/obs/trace"
 	"repro/internal/particle"
 )
 
@@ -278,46 +277,6 @@ func (t *Telemetry) filterMetrics() particle.Metrics {
 // Telemetry returns the system's observability surface.
 func (s *System) Telemetry() *Telemetry { return s.tel }
 
-// SyncMetrics refreshes the scrape-time mirrors (ingest accounting, lag,
-// pending depth, population and cache sizes) from the authoritative engine
-// state. Callers must hold the same exclusion the query API requires; the
-// /metrics handler calls it under the server lock and renders after
-// releasing it.
-func (s *System) SyncMetrics() {
-	st := s.Stats()
-	t := s.tel
-	t.ingested.Set(uint64(st.ReadingsIngested))
-	for kind, c := range t.dropped {
-		c.Set(uint64(st.Ingest.Of(kind)))
-	}
-	t.rejectedBatches.Set(uint64(st.Ingest.LateBatches))
-	t.oversizedBatches.Set(uint64(st.Ingest.OversizedBatches))
-	t.gapSeconds.Set(uint64(st.Ingest.GapSeconds))
-	t.pendingSeconds.Set(float64(s.reorder.PendingSeconds()))
-	t.pendingReadings.Set(float64(st.ReadingsPending))
-	t.watermarkLag.Set(float64(s.reorder.Lag()))
-	t.streamNow.Set(float64(s.col.Now()))
-	t.objectsKnown.Set(float64(s.col.NumObjects()))
-	t.cacheEntries.Set(float64(s.cache.Len()))
-	if s.wal != nil {
-		t.walLastSeq.Set(float64(s.walSeq))
-		t.walSegments.Set(float64(s.wal.Segments()))
-	}
-	if s.monitor != nil {
-		if t.readerLabels == nil {
-			t.readerLabels = make([]string, s.dep.NumReaders())
-			for i := range t.readerLabels {
-				t.readerLabels[i] = strconv.Itoa(i)
-			}
-		}
-		for _, rh := range s.monitor.Snapshot(s.col.Now()) {
-			label := t.readerLabels[rh.Reader]
-			t.readerState.With(label).Set(float64(rh.State))
-			t.readerSilence.With(label).Set(float64(rh.SilenceSeconds))
-		}
-	}
-}
-
 // recordTrace appends one filter run to the trace ring, combining the
 // filter's own stage breakdown with the engine-side snap timing.
 func (t *Telemetry) recordTrace(shard int, st *particle.State, snap time.Duration, resumed bool) {
@@ -358,10 +317,8 @@ func (t *Telemetry) recordReuse(shard int, st *particle.State) {
 }
 
 // observeQuery records one snapshot query: latency into the per-kind
-// histogram and, past the slow threshold, a slow-query log entry. tr is the
-// request trace (nil for untraced queries); a slow entry links back to it by
-// ID and carries the per-shard evaluate timings from its scatter spans.
-func (s *System) observeQuery(kind, detail string, candidates int, start time.Time, tr *trace.Context) {
+// histogram and, past the slow threshold, a slow-query log entry.
+func (s *System) observeQuery(kind, detail string, candidates int, start time.Time) {
 	elapsed := time.Since(start)
 	t := s.tel
 	h := t.queryRange
@@ -372,13 +329,11 @@ func (s *System) observeQuery(kind, detail string, candidates int, start time.Ti
 	if thr := s.cfg.SlowQueryThreshold; thr > 0 && elapsed >= thr {
 		t.slowQueries.Inc()
 		t.Slow.Add(SlowQuery{
-			Kind:        kind,
-			Detail:      detail,
-			SimTime:     int64(s.col.Now()),
-			Candidates:  candidates,
-			Micros:      elapsed.Microseconds(),
-			TraceID:     tr.IDString(),
-			ShardMicros: tr.DurationsOf("evaluate", s.shardID+1),
+			Kind:       kind,
+			Detail:     detail,
+			SimTime:    int64(s.col.Now()),
+			Candidates: candidates,
+			Micros:     elapsed.Microseconds(),
 		})
 		log.Printf("engine: slow %s query (%s, %d candidates): %v", kind, detail, candidates, elapsed)
 	}

@@ -7,14 +7,33 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/geom"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/rfid"
 	"repro/internal/sim"
+	"repro/internal/walkgraph"
 )
 
 // telemetrySystem builds a warmed-up system with a custom config tweak.
 func telemetrySystem(t *testing.T, warmup int, tweak func(*Config)) *System {
 	t.Helper()
+	plan, dep, cfg := telemetryWorld(tweak)
+	sys := MustNew(plan, dep, cfg)
+	warmUp(sys, dep, warmup)
+	return sys
+}
+
+// telemetryRouter is telemetrySystem as a one-shard router, the engine that
+// owns the scrape-time mirrors (SyncMetrics).
+func telemetryRouter(t *testing.T, warmup int) *Sharded {
+	t.Helper()
+	plan, dep, cfg := telemetryWorld(nil)
+	sh := MustNewSharded(plan, dep, cfg)
+	warmUp(sh, dep, warmup)
+	return sh
+}
+
+func telemetryWorld(tweak func(*Config)) (*floorplan.Plan, *rfid.Deployment, Config) {
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
 	cfg := DefaultConfig()
@@ -22,22 +41,27 @@ func telemetrySystem(t *testing.T, warmup int, tweak func(*Config)) *System {
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	sys := MustNew(plan, dep, cfg)
+	return plan, dep, cfg
+}
+
+func warmUp(eng interface {
+	Graph() *walkgraph.Graph
+	Ingest(model.Time, []model.RawReading) error
+}, dep *rfid.Deployment, seconds int) {
 	tc := sim.DefaultTraceConfig()
 	tc.NumObjects = 10
 	tc.DwellMin, tc.DwellMax = 2, 8
-	simulator := sim.MustNew(sys.Graph(), rfid.NewSensor(dep), tc, 1077)
-	for i := 0; i < warmup; i++ {
+	simulator := sim.MustNew(eng.Graph(), rfid.NewSensor(dep), tc, 1077)
+	for i := 0; i < seconds; i++ {
 		tm, raws := simulator.Step()
-		sys.Ingest(tm, raws)
+		eng.Ingest(tm, raws)
 	}
-	return sys
 }
 
 // TestStageHistogramsRecorded runs queries and checks all four filter stages
 // plus both query kinds landed observations in the registry.
 func TestStageHistogramsRecorded(t *testing.T) {
-	sys := telemetrySystem(t, 60, nil)
+	sys := telemetryRouter(t, 60)
 	sys.RangeQuery(geom.RectWH(1, 2, 140, 32))
 	sys.KNNQuery(geom.Pt(35, 12), 3)
 
@@ -174,7 +198,7 @@ func TestSlowQueryLogDisabled(t *testing.T) {
 // TestSyncMetricsMirrorsStats checks the scrape-time mirrors equal the
 // authoritative engine accounting.
 func TestSyncMetricsMirrorsStats(t *testing.T) {
-	sys := telemetrySystem(t, 40, nil)
+	sys := telemetryRouter(t, 40)
 	// A rejected (late) batch and some invalid readings to populate drops.
 	sys.Ingest(1, nil)
 	sys.SyncMetrics()
@@ -195,8 +219,8 @@ func TestSyncMetricsMirrorsStats(t *testing.T) {
 			t.Errorf("dropped{%v} mirror %d != stats %d", kind, got, want)
 		}
 	}
-	if got := tel.objectsKnown.Value(); got != float64(sys.Collector().NumObjects()) {
-		t.Errorf("objects mirror %v != %d", got, sys.Collector().NumObjects())
+	if got := tel.objectsKnown.Value(); got != float64(len(sys.KnownObjects())) {
+		t.Errorf("objects mirror %v != %d", got, len(sys.KnownObjects()))
 	}
 }
 

@@ -41,7 +41,7 @@ func TestShardedTraceSpans(t *testing.T) {
 	cfg.Shards = 4
 	cfg.SlowQueryThreshold = time.Nanosecond // every query is "slow": the ring must fill
 	cfg.Durability = DurabilityConfig{Dir: t.TempDir(), Fsync: wal.SyncAlways}
-	sys, err := OpenSharded(plan, dep, cfg)
+	sys, err := Open(plan, dep, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +130,15 @@ func TestShardedTraceSpans(t *testing.T) {
 	}
 }
 
-// TestSingleEngineTraceSpans pins the single-shard span topology: the System
-// records the same span names the router does, with shard 0 standing in for
-// the whole object space.
+// TestSingleEngineTraceSpans pins the one-shard span topology: the router
+// records the same span names at one shard as at four, with shard 0
+// standing in for the whole object space.
 func TestSingleEngineTraceSpans(t *testing.T) {
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
 	cfg := DefaultConfig()
 	cfg.Seed = 91
-	sys := MustNew(plan, dep, cfg)
+	sys := MustNewSharded(plan, dep, cfg)
 	world := sim.MustNew(sys.Graph(), rfid.NewSensor(dep), traceCfg120(), 77)
 
 	tracer := trace.New(trace.Config{Sample: 1, Seed: 5})

@@ -42,7 +42,7 @@ type AdmissionConfig struct {
 	RestoreAfter time.Duration
 }
 
-// DefaultAdmissionConfig returns admission bounds suited to a single-engine
+// DefaultAdmissionConfig returns admission bounds suited to a single-node
 // server: a handful of in-flight queries, a short queue, and degraded mode
 // halving the default particle count.
 func DefaultAdmissionConfig() AdmissionConfig {

@@ -29,7 +29,7 @@ var _ Engine = (*cluster.Node)(nil)
 // clusterFixture is one node of a two-node test cluster with its server.
 type clusterFixture struct {
 	node *cluster.Node
-	eng  *engine.System
+	eng  *engine.Sharded
 	srv  *Server
 	h    http.Handler
 }
@@ -48,7 +48,7 @@ func clusterPair(t *testing.T, seed int64, tweak func(*cluster.Config)) (*netsim
 	nw := netsim.New(seed)
 	var out [2]*clusterFixture
 	for i, self := range []string{"node-0", "node-1"} {
-		eng, err := engine.New(plan, dep, cfg)
+		eng, err := engine.NewSharded(plan, dep, cfg)
 		if err != nil {
 			t.Fatalf("engine: %v", err)
 		}
@@ -237,7 +237,7 @@ func TestClusterE2E(t *testing.T) {
 		addrs[i] = ln.Addr().String()
 	}
 	for i := range lns {
-		eng, err := engine.New(plan, dep, cfg)
+		eng, err := engine.NewSharded(plan, dep, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,9 +37,9 @@ func degradedServer(t *testing.T) (*httptest.Server, *errfs.FS, *engine.Sharded)
 		HealBaseDelay: time.Hour,
 		HealMaxDelay:  time.Hour,
 	}
-	sys, err := engine.OpenSharded(plan, dep, cfg)
+	sys, err := engine.Open(plan, dep, cfg)
 	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	t.Cleanup(func() { sys.Close() })
 	srv := New(sys, plan, dep)

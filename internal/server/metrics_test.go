@@ -18,7 +18,7 @@ func newTestServerWith(t *testing.T, cfg HandlerConfig) *httptest.Server {
 	t.Helper()
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
-	sys := engine.MustNew(plan, dep, engine.DefaultConfig())
+	sys := engine.MustNewSharded(plan, dep, engine.DefaultConfig())
 	ts := httptest.NewServer(New(sys, plan, dep).HandlerWith(cfg))
 	t.Cleanup(ts.Close)
 	return ts

@@ -22,13 +22,13 @@ import (
 
 // resilientServer builds a server with admission control on, returning the
 // server, its engine, and a warmed-up simulator.
-func resilientServer(t *testing.T, cfg Config) (*Server, *engine.System, *sim.Simulator) {
+func resilientServer(t *testing.T, cfg Config) (*Server, *engine.Sharded, *sim.Simulator) {
 	t.Helper()
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
 	ecfg := engine.DefaultConfig()
 	ecfg.Seed = 8
-	sys := engine.MustNew(plan, dep, ecfg)
+	sys := engine.MustNewSharded(plan, dep, ecfg)
 	tc := sim.DefaultTraceConfig()
 	tc.NumObjects = 10
 	world := sim.MustNew(sys.Graph(), rfid.NewSensor(dep), tc, 99)
@@ -248,16 +248,25 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 		stopQueries   atomic.Bool
 		ackedReadings atomic.Int64
 	)
-	// Query load: several clients hammering range/knn until the drain ends.
+	// Query load: several clients cycling through every engine-reading route
+	// until the drain ends. No server lock wraps the engine, so this loop is
+	// what the race detector checks those routes with, concurrently with
+	// ingestion.
+	routes := []string{
+		"/range?x=0&y=0&w=40&h=30&deadline_ms=50",
+		"/knn?x=5&y=5&k=3",
+		"/occupancy",
+		"/localize?object=1",
+		"/stats",
+		"/metrics",
+		"/snapshot.svg",
+	}
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for !stopQueries.Load() {
-				url := ts.URL + "/range?x=0&y=0&w=40&h=30&deadline_ms=50"
-				if i%2 == 1 {
-					url = ts.URL + "/knn?x=5&y=5&k=3"
-				}
+			for k := i; !stopQueries.Load(); k++ {
+				url := ts.URL + routes[k%len(routes)]
 				resp, err := ts.Client().Get(url)
 				if err != nil {
 					continue // connection refused once the listener closes

@@ -19,13 +19,10 @@
 //	GET  /debug/traces              tail-sampled request traces (?format=chrome)
 //	GET  /debug/pprof/              net/http/pprof (opt-in via HandlerConfig)
 //
-// The single-shard engine.System is not safe for concurrent use; the server
-// serializes access with a mutex, which matches the one-writer reality of a
-// reading stream. An engine that synchronizes internally (engine.Sharded)
-// reports it via SelfSynchronizing and the server skips its lock, letting
-// ingestion and queries overlap. Handlers compute their answer under the
-// lock and encode it to the client after releasing it, so one slow reader
-// cannot head-of-line block the ingestion path.
+// The server holds no lock around the engine: every Engine implementation
+// (engine.Sharded, cluster.Node) synchronizes internally, so ingestion and
+// queries overlap and one slow client cannot head-of-line block the
+// ingestion path.
 package server
 
 import (
@@ -40,7 +37,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -60,20 +56,20 @@ import (
 )
 
 // Engine is the query-evaluation surface the server drives: implemented by
-// the single-shard *engine.System and the sharded *engine.Sharded.
+// the engine router *engine.Sharded (at any shard count, one included) and
+// by the multi-node *cluster.Node. Implementations lock internally — the
+// server calls every method from concurrent handlers without a lock of its
+// own — which is why the unsynchronized per-shard *engine.System does not
+// satisfy it.
 type Engine interface {
-	Ingest(t model.Time, raws []model.RawReading) error
 	IngestContext(ctx context.Context, t model.Time, raws []model.RawReading) error
 	Now() model.Time
 	KnownObjects() []model.ObjectID
-	RangeQuery(window geom.Rect) model.ResultSet
 	RangeQueryAt(window geom.Rect, t model.Time) model.ResultSet
 	RangeQueryContext(ctx context.Context, window geom.Rect) (model.ResultSet, error)
-	KNNQuery(q geom.Point, k int) model.ResultSet
 	KNNQueryAt(q geom.Point, k int, t model.Time) model.ResultSet
 	KNNQueryContext(ctx context.Context, q geom.Point, k int) (model.ResultSet, error)
 	Localize(obj model.ObjectID) (engine.Localization, bool)
-	Occupancy() []engine.RoomOdds
 	OccupancyContext(ctx context.Context) ([]engine.RoomOdds, error)
 	DegradedShards() []int
 	Preprocess(candidates []model.ObjectID) *anchor.Table
@@ -92,12 +88,6 @@ type Engine interface {
 	Close() error
 }
 
-// selfSynchronizing is implemented by engines that do their own locking;
-// the server then skips its serialization mutex.
-type selfSynchronizing interface {
-	SelfSynchronizing() bool
-}
-
 // clusterNode is the optional surface of an Engine that is a cluster node
 // (*cluster.Node): the server mounts its peer RPC endpoint and status
 // document, folds its peer health into /readyz, and hands it the request
@@ -111,12 +101,9 @@ type clusterNode interface {
 
 // Server wraps an Engine with an HTTP API.
 type Server struct {
-	mu sync.Mutex
-	// noLock skips the mutex for engines that synchronize internally.
-	noLock bool
-	sys    Engine
-	plan   *floorplan.Plan
-	dep    *rfid.Deployment
+	sys  Engine
+	plan *floorplan.Plan
+	dep  *rfid.Deployment
 
 	// adm is the query admission controller (nil: admission disabled);
 	// maxIngestBytes caps POST /ingest bodies.
@@ -209,9 +196,6 @@ func NewWith(sys Engine, plan *floorplan.Plan, dep *rfid.Deployment, cfg Config)
 		s.degradedTransitions = r.Counter("repro_degraded_transitions_total",
 			"Degraded-mode enter/leave transitions.")
 	}
-	if ss, ok := sys.(selfSynchronizing); ok && ss.SelfSynchronizing() {
-		s.noLock = true
-	}
 	if cn, ok := sys.(clusterNode); ok {
 		s.clu = cn
 		cn.SetTracer(s.tracer)
@@ -225,40 +209,21 @@ func NewWith(sys Engine, plan *floorplan.Plan, dep *rfid.Deployment, cfg Config)
 // closes.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// lock and unlock serialize engine access, unless the engine synchronizes
-// itself (noLock): then ingest and queries run concurrently and the engine's
-// internal sharding is what provides the parallelism.
-func (s *Server) lock() {
-	if !s.noLock {
-		s.mu.Lock()
-	}
-}
-
-func (s *Server) unlock() {
-	if !s.noLock {
-		s.mu.Unlock()
-	}
-}
-
 // Close drains the server for shutdown: /readyz goes unready, then the
-// engine's durability layer flushes, snapshots, and closes under the
-// serialization lock. Safe to call once in-flight requests finished (i.e.
-// after http.Server.Shutdown returned).
+// engine's durability layer flushes, snapshots, and closes. Safe to call
+// once in-flight requests finished (i.e. after http.Server.Shutdown
+// returned).
 func (s *Server) Close() error {
 	s.ready.Store(false)
-	s.lock()
-	defer s.unlock()
 	return s.sys.Close()
 }
 
 // IngestDirect feeds one delivery of readings bypassing HTTP (used by the
-// demo simulator); it takes the same lock as the handlers. Rejections are
-// logged and land in the same Stats().Ingest.LateBatches counter that backs
-// the HTTP 409 path, so /stats and /metrics agree no matter the entry point.
+// demo simulator). Rejections are logged and land in the same
+// Stats().Ingest.LateBatches counter that backs the HTTP 409 path, so /stats
+// and /metrics agree no matter the entry point.
 func (s *Server) IngestDirect(t model.Time, raws []model.RawReading) error {
-	s.lock()
-	defer s.unlock()
-	err := s.sys.Ingest(t, raws)
+	err := s.sys.IngestContext(context.Background(), t, raws)
 	var ie *ingest.Error
 	if errors.As(err, &ie) && ie.Rejected {
 		log.Printf("ingest: direct delivery rejected: %v", ie)
@@ -445,7 +410,7 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 
 // updateDegraded applies the degraded-mode controller's decision to the
 // engine: entering reduces the per-object particle budget along the Ns
-// ablation knob, leaving restores full fidelity. Called with s.mu NOT held.
+// ablation knob, leaving restores full fidelity.
 func (s *Server) updateDegraded() {
 	degraded, changed := s.adm.degradeDecision(time.Now())
 	if !changed {
@@ -455,9 +420,7 @@ func (s *Server) updateDegraded() {
 	if degraded {
 		budget = s.adm.cfg.DegradedParticles
 	}
-	s.lock()
 	s.sys.SetParticleBudget(budget)
-	s.unlock()
 	if degraded {
 		s.degradedMode.Set(1)
 		log.Printf("server: sustained overload, degrading particle budget to %d", budget)
@@ -472,11 +435,9 @@ func (s *Server) updateDegraded() {
 // maintains: state, silence, smoothed detection rate, and accrued missed
 // evidence per reader.
 func (s *Server) handleReaders(w http.ResponseWriter, r *http.Request) {
-	s.lock()
 	enabled := s.sys.HealthMonitorEnabled()
 	readers := s.sys.ReaderHealth()
 	now := s.sys.Now()
-	s.unlock()
 	if readers == nil {
 		readers = []health.ReaderHealth{}
 	}
@@ -512,11 +473,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"status": "draining"})
 		return
 	}
-	s.lock()
 	walErr := s.sys.WALError()
 	rec := s.sys.Recovery()
 	degraded := s.sys.DegradedShards()
-	s.unlock()
 	if walErr != nil {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -608,9 +567,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &mbe) {
 			// Refused undecoded: the loss is counted at batch granularity so
 			// the drop accounting stays complete (Stats().Ingest).
-			s.lock()
 			s.sys.NoteOversizedBody()
-			s.unlock()
 			httpError(w, http.StatusRequestEntityTooLarge,
 				"body exceeds %d-byte ingest cap; split the delivery", s.maxIngestBytes)
 			return
@@ -630,10 +587,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			req.Readings[i].Time = req.Time
 		}
 	}
-	s.lock()
 	err = s.sys.IngestContext(r.Context(), req.Time, req.Readings)
 	now := s.sys.Now()
-	s.unlock()
 	var ie *ingest.Error
 	if errors.As(err, &ie) && ie.Rejected {
 		httpError(w, http.StatusConflict, "%v", ie)
@@ -693,7 +648,6 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	win := geom.RectWH(x, y, ww, h)
-	s.lock()
 	var rs model.ResultSet
 	var qerr error
 	switch {
@@ -709,7 +663,6 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		// a deadline it cannot expire.
 		rs, qerr = s.sys.RangeQueryContext(r.Context(), win)
 	}
-	s.unlock()
 	if relayShed(w, qerr) {
 		return
 	}
@@ -736,7 +689,6 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad deadline_ms: %v", err)
 		return
 	}
-	s.lock()
 	var rs model.ResultSet
 	var qerr error
 	switch {
@@ -749,7 +701,6 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	default:
 		rs, qerr = s.sys.KNNQueryContext(r.Context(), geom.Pt(x, y), k)
 	}
-	s.unlock()
 	if relayShed(w, qerr) {
 		return
 	}
@@ -764,10 +715,10 @@ type arrivalKey struct{}
 
 // queryDeadline parses the optional deadline_ms parameter (0: no deadline).
 // The budget is measured from the request's ARRIVAL, not from the moment the
-// handler finally runs: time spent queued behind the admission gate or the
-// serialization lock is subtracted, so a forwarded cluster query can never
-// spend more wall time than the client asked for end to end. A budget fully
-// consumed by queueing is clamped to 1ms — the query starts, expires at its
+// handler finally runs: time spent queued behind the admission gate is
+// subtracted, so a forwarded cluster query can never spend more wall time
+// than the client asked for end to end. A budget fully consumed by queueing
+// is clamped to 1ms — the query starts, expires at its
 // first deadline check, and returns a partial, the usual overrun contract.
 func queryDeadline(r *http.Request) (time.Duration, error) {
 	v := r.URL.Query().Get("deadline_ms")
@@ -839,10 +790,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "route needs float params x1, y1, x2, y2")
 		return
 	}
-	s.lock()
 	g := s.sys.Graph()
 	pts, dist := g.Route(g.NearestLocation(geom.Pt(x1, y1)), g.NearestLocation(geom.Pt(x2, y2)))
-	s.unlock()
 	poly := make([][2]float64, len(pts))
 	for i, p := range pts {
 		poly[i] = [2]float64{p.X, p.Y}
@@ -856,9 +805,7 @@ func (s *Server) handleLocalize(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "localize needs integer param object")
 		return
 	}
-	s.lock()
 	loc, ok := s.sys.Localize(model.ObjectID(id))
-	s.unlock()
 	if !ok {
 		httpError(w, http.StatusNotFound, "object %d has no readings", id)
 		return
@@ -892,9 +839,7 @@ func (s *Server) handleOccupancy(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
-	s.lock()
 	occ, qerr := s.sys.OccupancyContext(ctx)
-	s.unlock()
 	if relayShed(w, qerr) {
 		return
 	}
@@ -913,9 +858,7 @@ func (s *Server) handleOccupancy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
-	s.lock()
 	objs := s.sys.KnownObjects()
-	s.unlock()
 	if objs == nil {
 		objs = []model.ObjectID{}
 	}
@@ -923,11 +866,9 @@ func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.lock()
 	hits, misses := s.sys.CacheStats()
 	st := s.sys.Stats()
 	now := s.sys.Now()
-	s.unlock()
 	s.writeJSON(w, map[string]any{
 		"now":         now,
 		"work":        st,
@@ -945,7 +886,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	s.lock()
 	c := viz.NewCanvas(s.plan, 10)
 	c.DrawPlan(s.plan)
 	c.DrawDeployment(s.dep)
@@ -955,19 +895,15 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		c.DrawDistribution(s.sys.AnchorIndex(), tab.DistributionOf(obj), colors[i%len(colors)])
 	}
 	svg := c.SVG()
-	s.unlock()
 	w.Header().Set("Content-Type", "image/svg+xml")
 	fmt.Fprint(w, svg)
 }
 
 // handleMetrics serves the Prometheus scrape: the scrape-time mirrors are
-// refreshed under the lock, then the lock is dropped and the registry
-// renders into a buffer (atomics need no lock), so a stalled scraper never
-// blocks ingestion.
+// refreshed, then the registry renders into a buffer (atomics need no
+// lock), so a stalled scraper never blocks ingestion.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.lock()
 	s.sys.SyncMetrics()
-	s.unlock()
 	var buf bytes.Buffer
 	if _, err := s.sys.Telemetry().Registry().WriteTo(&buf); err != nil {
 		httpError(w, http.StatusInternalServerError, "render metrics: %v", err)

@@ -27,7 +27,7 @@ func testServer(t *testing.T) (*httptest.Server, *sim.Simulator) {
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
 	cfg := engine.DefaultConfig()
 	cfg.KeepHistory = true
-	sys := engine.MustNew(plan, dep, cfg)
+	sys := engine.MustNewSharded(plan, dep, cfg)
 	tc := sim.DefaultTraceConfig()
 	tc.NumObjects = 12
 	tc.DwellMin, tc.DwellMax = 2, 8
@@ -289,7 +289,7 @@ func freshServer(t *testing.T, icfg ingest.Config) (*Server, *httptest.Server) {
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
 	cfg := engine.DefaultConfig()
 	cfg.Ingest = icfg
-	srv := New(engine.MustNew(plan, dep, cfg), plan, dep)
+	srv := New(engine.MustNewSharded(plan, dep, cfg), plan, dep)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -467,7 +467,7 @@ func lightServer(t *testing.T) *Server {
 	t.Helper()
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
-	return New(engine.MustNew(plan, dep, engine.DefaultConfig()), plan, dep)
+	return New(engine.MustNewSharded(plan, dep, engine.DefaultConfig()), plan, dep)
 }
 
 func TestHealthzAndReadyz(t *testing.T) {

@@ -204,7 +204,7 @@ func TestTracesEndpoint(t *testing.T) {
 func TestTracesDisabled(t *testing.T) {
 	plan := floorplan.DefaultOffice()
 	dep := rfid.MustDeployUniform(plan, rfid.DefaultReaders, rfid.DefaultActivationRange)
-	sys := engine.MustNew(plan, dep, engine.DefaultConfig())
+	sys := engine.MustNewSharded(plan, dep, engine.DefaultConfig())
 	srv := NewWith(sys, plan, dep, Config{Trace: trace.Config{Sample: -1}})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

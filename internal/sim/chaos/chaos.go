@@ -1,10 +1,11 @@
 // Package chaos is the crash/restart harness for the durable engine: it
-// drives a simulated reading stream into a WAL-backed system, hard-kills the
+// drives a simulated reading stream into a WAL-backed engine (engine.Open),
+// hard-kills the
 // process state at pseudo-random points (no Close, no flush — exactly what a
-// power cut leaves behind), optionally smears garbage over the WAL tail, and
-// reopens. At the end it verifies the survivor against a memory-only oracle
-// fed the same effective delivery sequence: identical Stats, identical
-// collector state, identical query answers.
+// power cut leaves behind), optionally smears garbage over the WAL tails, and
+// reopens. At the end it verifies the survivor against a memory-only System
+// oracle fed the same effective delivery sequence: identical Stats,
+// identical collector state, identical query answers.
 //
 // It lives under internal/sim because it is a simulation tool, but in its own
 // package: the engine's own tests import internal/sim, so the harness (which
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 
 	"repro/internal/engine"
@@ -39,7 +41,7 @@ type Config struct {
 	// Crashes is how many hard kills to spread across the run.
 	Crashes int
 	// TornTailBytes, when non-zero, appends that many random garbage bytes
-	// to the newest WAL segment after each crash, simulating a write torn
+	// to every shard's newest WAL segment after each crash, simulating a write torn
 	// mid-record. Recovery must truncate them.
 	TornTailBytes int
 	// Seed drives the world, the crash schedule, and the garbage bytes.
@@ -199,7 +201,7 @@ func Run(plan *floorplan.Plan, dep *rfid.Deployment, cfg Config) (Report, error)
 
 // compare checks the survivor against the oracle: accounting, collector
 // state, and live query answers over the plan's bounding box.
-func compare(sys, oracle *engine.System, plan *floorplan.Plan) []string {
+func compare(sys *engine.Sharded, oracle *engine.System, plan *floorplan.Plan) []string {
 	var ms []string
 	if got, want := sys.Now(), oracle.Now(); got != want {
 		ms = append(ms, fmt.Sprintf("clock: survivor now=%d oracle now=%d", got, want))
@@ -207,7 +209,7 @@ func compare(sys, oracle *engine.System, plan *floorplan.Plan) []string {
 	if got, want := sys.Stats(), oracle.Stats(); !reflect.DeepEqual(got, want) {
 		ms = append(ms, fmt.Sprintf("stats: survivor %+v oracle %+v", got, want))
 	}
-	if got, want := sys.Collector().Snapshot(), oracle.Collector().Snapshot(); !reflect.DeepEqual(got, want) {
+	if got, want := sys.CollectorSnapshot(), oracle.Collector().Snapshot(); !reflect.DeepEqual(got, want) {
 		ms = append(ms, "collector state diverged")
 	}
 	// Query the whole floor: one range window over the plan bounds and a
@@ -224,22 +226,39 @@ func compare(sys, oracle *engine.System, plan *floorplan.Plan) []string {
 	return ms
 }
 
-// smearTail appends n random bytes to the newest WAL segment, simulating a
-// record torn mid-write by the kill.
+// smearTail appends n random bytes to each shard's newest WAL segment,
+// simulating records torn mid-write by the kill. It returns the bytes
+// injected.
 func smearTail(dir string, rng *rand.Rand, n int) (int, error) {
-	segs, err := wal.SegmentInfos(dir)
-	if err != nil || len(segs) == 0 {
-		return 0, err
-	}
-	garbage := make([]byte, n)
-	rng.Read(garbage)
-	f, err := os.OpenFile(segs[len(segs)-1].Path, os.O_WRONLY|os.O_APPEND, 0)
+	shardDirs, err := filepath.Glob(filepath.Join(dir, "shard-*"))
 	if err != nil {
 		return 0, err
 	}
-	defer f.Close()
-	if _, err := f.Write(garbage); err != nil {
-		return 0, err
+	injected := 0
+	for _, sd := range shardDirs {
+		segs, err := wal.SegmentInfos(sd)
+		if err != nil {
+			return injected, err
+		}
+		if len(segs) == 0 {
+			continue
+		}
+		garbage := make([]byte, n)
+		rng.Read(garbage)
+		if err := appendFile(segs[len(segs)-1].Path, garbage); err != nil {
+			return injected, err
+		}
+		injected += n
 	}
-	return n, nil
+	return injected, nil
+}
+
+func appendFile(path string, b []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = f.Write(b)
+	return err
 }

@@ -99,7 +99,7 @@ func RunShardFaults(plan *floorplan.Plan, dep *rfid.Deployment, cfg ShardFaultCo
 	cfg.Engine.Durability.HealBaseDelay = time.Hour
 	cfg.Engine.Durability.HealMaxDelay = time.Hour
 
-	sys, err := engine.OpenSharded(plan, dep, cfg.Engine)
+	sys, err := engine.Open(plan, dep, cfg.Engine)
 	if err != nil {
 		return rep, err
 	}

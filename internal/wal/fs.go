@@ -96,7 +96,8 @@ func WriteFileFS(fsys FS, name string, data []byte, perm os.FileMode) error {
 // convention errfs-injected faults and net errors follow), or when it is a
 // retry-at-will syscall error. Everything else — ENOSPC, EIO, permission
 // failures, corruption — is permanent: retrying cannot help and the caller
-// must fail stop (single engine) or quarantine the shard (sharded engine).
+// must quarantine the shard whose log failed (the engine fail-stops only
+// when every shard is down).
 func IsTransient(err error) bool {
 	var t interface{ Temporary() bool }
 	if errors.As(err, &t) {

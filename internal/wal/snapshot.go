@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -160,36 +159,6 @@ func ReadSnapshotFileFS(fsys FS, path string, streamID uint64) (seq uint64, payl
 
 // maxSnapshotPayload bounds snapshot payloads against corrupt length fields.
 const maxSnapshotPayload = 1 << 31
-
-// ReadLatestSnapshot returns the newest verifiable snapshot in dir. Corrupt
-// snapshots are skipped (newest first) and counted; a stream-identity
-// mismatch is fatal and returned immediately. ok is false when no usable
-// snapshot exists (not an error: a fresh or snapshot-less log).
-func ReadLatestSnapshot(dir string, streamID uint64) (seq uint64, payload []byte, ok bool, skipped int, err error) {
-	return ReadLatestSnapshotFS(OS, dir, streamID)
-}
-
-// ReadLatestSnapshotFS is ReadLatestSnapshot through an injectable
-// filesystem.
-func ReadLatestSnapshotFS(fsys FS, dir string, streamID uint64) (seq uint64, payload []byte, ok bool, skipped int, err error) {
-	fsys = fsOrOS(fsys)
-	snaps, err := ListSnapshotsFS(fsys, dir)
-	if err != nil {
-		return 0, nil, false, 0, err
-	}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		seq, payload, rerr := ReadSnapshotFileFS(fsys, snaps[i].Path, streamID)
-		if rerr == nil {
-			return seq, payload, true, skipped, nil
-		}
-		var me *MismatchError
-		if errors.As(rerr, &me) {
-			return 0, nil, false, skipped, rerr
-		}
-		skipped++
-	}
-	return 0, nil, false, skipped, nil
-}
 
 // PruneSnapshots removes all but the newest keep snapshots. It returns the
 // covered seq of the oldest snapshot kept (0 when none remain), which is the

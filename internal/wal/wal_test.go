@@ -283,32 +283,35 @@ func TestSnapshotStore(t *testing.T) {
 	if _, err := WriteSnapshot(dir, 9, 200, []byte("newer")); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	seq, got, ok, skipped, err := ReadLatestSnapshot(dir, 9)
-	if err != nil || !ok || skipped != 0 {
-		t.Fatalf("ReadLatestSnapshot: ok=%v skipped=%d err=%v", ok, skipped, err)
+	snaps, err := ListSnapshots(dir)
+	if err != nil || len(snaps) != 2 {
+		t.Fatalf("ListSnapshots: %d snapshots, err=%v", len(snaps), err)
+	}
+	seq, got, err := ReadSnapshotFile(snaps[1].Path, 9)
+	if err != nil {
+		t.Fatalf("ReadSnapshotFile: %v", err)
 	}
 	if seq != 200 || string(got) != "newer" {
 		t.Fatalf("got (%d, %q)", seq, got)
 	}
 
-	// Corrupt the newest: the store falls back to the older snapshot.
-	snaps, _ := ListSnapshots(dir)
-	data, _ := os.ReadFile(snaps[1].Path)
-	data[len(data)-1] ^= 0xff
-	os.WriteFile(snaps[1].Path, data, 0o644)
-	seq, got, ok, skipped, err = ReadLatestSnapshot(dir, 9)
-	if err != nil || !ok || skipped != 1 {
-		t.Fatalf("fallback: ok=%v skipped=%d err=%v", ok, skipped, err)
-	}
-	if seq != 100 || !bytes.Equal(got, payload) {
-		t.Fatalf("fallback got (%d, %d bytes)", seq, len(got))
-	}
-
-	// Stream mismatch is fatal, not a fallback.
-	_, _, _, _, err = ReadLatestSnapshot(dir, 8)
+	// A stream mismatch is a typed error, not a corrupt file.
+	_, _, err = ReadSnapshotFile(snaps[0].Path, 8)
 	var me *MismatchError
 	if !errors.As(err, &me) {
 		t.Fatalf("mismatched stream returned %v, want *MismatchError", err)
+	}
+
+	// A corrupt payload fails its CRC.
+	data, _ := os.ReadFile(snaps[1].Path)
+	data[len(data)-1] ^= 0xff
+	os.WriteFile(snaps[1].Path, data, 0o644)
+	if _, _, err := ReadSnapshotFile(snaps[1].Path, 9); err == nil || errors.As(err, &me) {
+		t.Fatalf("corrupt snapshot returned %v, want a CRC error", err)
+	}
+	seq, got, err = ReadSnapshotFile(snaps[0].Path, 9)
+	if err != nil || seq != 100 || !bytes.Equal(got, payload) {
+		t.Fatalf("older snapshot: (%d, %d bytes) err=%v", seq, len(got), err)
 	}
 
 	// Prune keeps the newest and reports the safe segment bound.
